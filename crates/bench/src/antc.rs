@@ -218,14 +218,8 @@ pub fn run_quantize<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<Strin
         "accuracy: fp32 {:.3} -> quantized {:.3}\n",
         fp32_acc, quant_acc
     ));
-    let covered = plan
-        .layers()
-        .iter()
-        .filter(|l| !matches!(l, ant_runtime::PlanLayer::Fallback(_)))
-        .count();
     report.push_str(&format!(
-        "coverage: {:.2} ({covered}/{} layers outside fallback; {} carry packed wire codes)\n",
-        plan.coverage(),
+        "plan: {} layers, {} carry packed wire codes\n",
         plan.layers().len(),
         plan.packed_layer_count()
     ));
@@ -316,12 +310,8 @@ fn quantize_decoder<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<Strin
 }
 
 /// Renders the `antc inspect` report: header metadata, the per-layer
-/// dtype/bit-width table, and the coverage line.
-///
-/// Coverage is computed by lenient-compiling the artifact and reading
-/// [`ant_runtime::CompiledPlan::coverage`] — the same quantity with the
-/// same denominator (all plan layers, fallback included) as the
-/// documented API, so the two can never disagree.
+/// dtype/bit-width table, and whether (and how compactly) the artifact
+/// compiles.
 ///
 /// # Errors
 ///
@@ -333,27 +323,7 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
     let mapped = MappedArtifact::open(&path)?;
     let copies = load_copies() - copies_before;
     let artifact = mapped.artifact();
-    let mut plan = None;
-    let coverage_line = match mapped.compile() {
-        Ok(p) => {
-            // Same quantity, same denominator as CompiledPlan::coverage():
-            // every plan layer counts, fallback layers included.
-            let covered = p
-                .layers()
-                .iter()
-                .filter(|l| !matches!(l, ant_runtime::PlanLayer::Fallback(_)))
-                .count();
-            let line = format!(
-                "coverage: {:.2} ({covered} of {} plan layers packed-executable; \
-                 float-typed fallback layers count toward the denominator)",
-                p.coverage(),
-                p.layers().len()
-            );
-            plan = Some(p);
-            line
-        }
-        Err(e) => format!("coverage: plan does not compile ({e})"),
-    };
+    let compiled = mapped.compile();
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -439,13 +409,16 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
         &rows,
     ));
     out.push('\n');
-    out.push_str(&coverage_line);
-    out.push('\n');
-    if let Some(p) = &plan {
-        let (packed, f32b) = p.weight_bytes();
-        out.push_str(&format!(
-            "weights: {packed} packed bytes vs {f32b} f32 bytes\n"
-        ));
+    match &compiled {
+        Ok(p) => {
+            let (packed, f32b) = p.weight_bytes();
+            out.push_str(&format!(
+                "plan: {} layers, {} packed\nweights: {packed} packed bytes vs {f32b} f32 bytes\n",
+                p.layers().len(),
+                p.packed_layer_count()
+            ));
+        }
+        Err(e) => out.push_str(&format!("plan: does not compile ({e})\n")),
     }
     out.push_str(&format!(
         "cache: {} memoized selection fingerprint(s)\n",
@@ -472,7 +445,7 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Loads an artifact, strict-compiles it, and pushes `requests` seeded
+/// Loads an artifact, compiles it, and pushes `requests` seeded
 /// random rows through a batched [`Engine`], verifying every response
 /// against a direct plan execution. Returns the serving report.
 ///
@@ -492,13 +465,12 @@ pub fn run_serve<P: AsRef<Path>>(
     metrics_dump: Option<&Path>,
 ) -> Result<String, CliError> {
     let mapped = MappedArtifact::open(&path)?;
-    let plan = mapped.compile_strict()?;
+    let plan = mapped.compile()?;
     let storage = if mapped.is_zero_copy() {
         "mmap zero-copy"
     } else {
         "owned"
     };
-    let coverage = plan.coverage();
     let features = plan.in_features().ok_or_else(|| {
         CliError::Runtime(RuntimeError::Engine(
             "plan does not pin an input width".to_string(),
@@ -545,7 +517,7 @@ pub fn run_serve<P: AsRef<Path>>(
     let stats = engine.stats();
     let mut report = format!(
         "served {verified} request(s), all verified against direct execution\n\
-         coverage: {coverage:.2}; {} batches, largest {}; weights {storage}\n\
+         {} batches, largest {}; weights {storage}\n\
          elapsed: {:.1} ms ({:.0} req/s)\n",
         stats.batches,
         stats.largest_batch,
@@ -680,10 +652,11 @@ pub struct BenchWorkload {
     /// 99.9th percentile batch-1 latency in microseconds.
     pub p999_us: f64,
     /// Steady-state heap allocations per batch-1 request through the
-    /// scratch-arena path; `None` when the counting allocator is not
-    /// installed (e.g. library callers).
+    /// scratch-arena path, made by the serving thread (pool workers are
+    /// not counted); `None` when the counting allocator is not installed
+    /// (e.g. library callers).
     pub allocs_per_request: Option<f64>,
-    /// Time-to-serving-ready (load + strict compile) from a v1 artifact,
+    /// Time-to-serving-ready (load + compile) from a v1 artifact,
     /// microseconds: eager CRC, owned copy, LUT decode, panel re-pack.
     pub load_us_v1: f64,
     /// Time-to-serving-ready from a mapped v2 artifact, microseconds:
@@ -692,7 +665,7 @@ pub struct BenchWorkload {
     /// Whether the v2 handle achieved the full zero-copy contract
     /// (per-handle check, immune to cross-thread counter noise).
     pub mapped_zero_copy: bool,
-    /// `Private_Dirty` kB of the v2 mapping after a full strict compile
+    /// `Private_Dirty` kB of the v2 mapping after a full compile
     /// (`/proc/self/smaps`): this process's private-RSS share of the
     /// weight pages — 0 means every page stays shared across processes
     /// serving the same artifact. `None` when the measurement is
@@ -982,7 +955,7 @@ impl BenchReport {
     }
 }
 
-/// Builds the three fixed serving workloads as strict-compiled plans.
+/// Builds the three fixed serving workloads as compiled plans.
 fn bench_plans(seed: u64) -> Result<Vec<(&'static str, CompiledPlan, usize)>, CliError> {
     use ant_nn::model::{deep_mlp, transformer_block};
     use ant_nn::qat::quantize_model;
@@ -1001,7 +974,7 @@ fn bench_plans(seed: u64) -> Result<Vec<(&'static str, CompiledPlan, usize)>, Cl
             seed.wrapping_add(3),
         );
         quantize_model(&mut model, &calib, QuantSpec::default())?;
-        let plan = CompiledPlan::from_quantized_strict(&model)?;
+        let plan = CompiledPlan::from_quantized(&model)?;
         out.push((name, plan, features));
     }
     Ok(out)
@@ -1102,9 +1075,9 @@ fn measure_load_path(
     quick: bool,
 ) -> Result<(f64, f64, bool, Option<u64>), CliError> {
     let artifact = ModelArtifact::from_model(&load_scale_model(name, seed, quick)?)?;
-    let dir = std::env::temp_dir();
-    let v1_path = dir.join(format!("antc-bench-{}-{name}-v1.antm", std::process::id()));
-    let v2_path = dir.join(format!("antc-bench-{}-{name}-v2.antm", std::process::id()));
+    let dir = TempDir::new("bench").map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
+    let v1_path = dir.0.join(format!("{name}-v1.antm"));
+    let v2_path = dir.0.join(format!("{name}-v2.antm"));
     artifact.save_v1_path(&v1_path)?;
     artifact.save_path(&v2_path)?;
     // Force writeback: a freshly-written file's page-cache pages are
@@ -1114,11 +1087,11 @@ fn measure_load_path(
         .and_then(|f| f.sync_all())
         .map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
     // Warm the page cache and the selection paths once each.
-    ModelArtifact::load_path(&v1_path)?.compile_strict()?;
+    ModelArtifact::load_path(&v1_path)?.compile()?;
     let mapped = MappedArtifact::open(&v2_path)?;
-    mapped.compile_strict()?;
+    mapped.compile()?;
     let zero_copy = mapped.is_zero_copy();
-    // Shared-RSS metric: after a full strict compile, how much of the
+    // Shared-RSS metric: after a full compile, how much of the
     // mapping this process dirtied (0 kB = every weight page stays
     // shared, the multi-process serving story).
     let private_dirty_kb = mapping_private_dirty_kb(mapped.mapped_bytes().as_ptr() as usize);
@@ -1126,18 +1099,37 @@ fn measure_load_path(
     let t_v1 = time_per_iter(iters, || {
         let plan = ModelArtifact::load_path(&v1_path)
             .expect("v1 load")
-            .compile_strict()
+            .compile()
             .expect("v1 compile");
         std::hint::black_box(&plan);
     });
     let t_v2 = time_per_iter(iters, || {
         let mapped = MappedArtifact::open(&v2_path).expect("v2 open");
-        let plan = mapped.compile_strict().expect("v2 compile");
+        let plan = mapped.compile().expect("v2 compile");
         std::hint::black_box(&plan);
     });
-    std::fs::remove_file(&v1_path).ok();
-    std::fs::remove_file(&v2_path).ok();
     Ok((t_v1 * 1e6, t_v2 * 1e6, zero_copy, private_dirty_kb))
+}
+
+/// A directory of its own under the system temp dir, removed with its
+/// contents when dropped, so concurrent callers in one process never
+/// share (or delete) each other's files.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> std::io::Result<TempDir> {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("antc-{tag}-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir)?;
+        Ok(TempDir(dir))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 /// Measures the autoregressive decode workload: a 2-layer causal
@@ -1164,7 +1156,7 @@ fn measure_decode(cfg: &BenchConfig) -> Result<DecodeBench, CliError> {
         cfg.seed.wrapping_add(3),
     );
     quantize_model(&mut model, &calib, QuantSpec::default())?;
-    let mut plan = CompiledPlan::from_quantized_strict(&model)?;
+    let mut plan = CompiledPlan::from_quantized(&model)?;
     // One prefill token plus every decode step must fit: capacity is
     // fixed at open and appends never grow it.
     let capacity = 1 + WARMUP + steps;
@@ -1514,7 +1506,7 @@ pub fn run_bench(cfg: BenchConfig) -> Result<String, CliError> {
         out.push_str("\nper-stage breakdown unavailable (runtime built without the obs feature)\n");
     }
     out.push_str(
-        "\nartifact load (time-to-serving-ready, load + strict compile,\nload-scale archetype models of ~0.4-1.6M wire codes):\n",
+        "\nartifact load (time-to-serving-ready, load + compile,\nload-scale archetype models of ~0.4-1.6M wire codes):\n",
     );
     for w in &report.workloads {
         out.push_str(&format!(
@@ -1572,7 +1564,7 @@ impl Default for StatsConfig {
     }
 }
 
-/// `antc stats`: drives seeded requests through a strict-compiled
+/// `antc stats`: drives seeded requests through a compiled
 /// artifact and reports the per-layer-kind timing/work breakdown read
 /// back from the telemetry registry — calls, total time, share, per-call
 /// p50/p99, derived GOPS and effective GB/s — plus the coverage check
@@ -1586,7 +1578,7 @@ impl Default for StatsConfig {
 pub fn run_stats<P: AsRef<Path>>(path: P, cfg: StatsConfig) -> Result<String, CliError> {
     let io = |e: std::io::Error| CliError::Artifact(ArtifactError::Io(e));
     let mapped = MappedArtifact::open(&path)?;
-    let mut plan = mapped.compile_strict()?;
+    let mut plan = mapped.compile()?;
     let features = plan.in_features().ok_or_else(|| {
         CliError::Runtime(RuntimeError::Engine(
             "plan does not pin an input width".to_string(),
@@ -2200,7 +2192,7 @@ selections and the selection-cache fingerprint/hit/miss stats. verify
 runs the full integrity gate the lazy v2 load defers: section CRCs plus
 a bit-for-bit recompute of the PANL execution images. migrate rewrites
 an artifact (v1 or v2) in the current format version, atomically in
-place. serve memory-maps the artifact, strict-compiles it borrowing
+place. serve memory-maps the artifact, compiles it borrowing
 weights straight from the file pages, and smoke-serves verified batched
 requests; --metrics-dump writes the telemetry registry in Prometheus
 text format afterwards. stats drives seeded requests through the plan

@@ -21,6 +21,17 @@ use ant_nn::model::{deep_mlp, small_cnn, transformer_block, Sequential};
 use ant_nn::qat::{quantize_model, QuantSpec};
 use ant_runtime::CompiledPlan;
 use ant_tensor::dist::{sample_tensor, Distribution};
+use std::sync::{Mutex, MutexGuard};
+
+/// Runs the tests of this binary one at a time. Allocation counts are
+/// per thread, but the telemetry assertions read the process-wide
+/// registry, which a concurrently running test would also be writing.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn models() -> Vec<(&'static str, Sequential, usize)> {
     let mut out = Vec::new();
@@ -50,7 +61,7 @@ fn workloads() -> Vec<(&'static str, CompiledPlan, usize)> {
             // threads=1 keeps the partitioning deterministic (and inline)
             // so the allocation count is exact regardless of machine
             // width.
-            let plan = CompiledPlan::from_quantized_strict(&model)
+            let plan = CompiledPlan::from_quantized(&model)
                 .unwrap()
                 .with_threads(1);
             (name, plan, features)
@@ -60,6 +71,7 @@ fn workloads() -> Vec<(&'static str, CompiledPlan, usize)> {
 
 #[test]
 fn steady_state_forward_rows_allocates_nothing() {
+    let _serial = serial();
     assert!(is_counting(), "counting allocator must be installed");
     const BATCH: usize = 8;
     for (name, mut plan, features) in workloads() {
@@ -151,6 +163,7 @@ fn steady_state_forward_rows_allocates_nothing() {
 
 #[test]
 fn steady_state_decode_steps_allocate_nothing() {
+    let _serial = serial();
     // The decode-phase twin of the contract above: once a session's
     // packed KV cache is open (all bytes preallocated) and the scratch
     // arena is warm, every further decode step — quantize the new K/V
@@ -168,7 +181,7 @@ fn steady_state_decode_steps_allocate_nothing() {
         7,
     );
     quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-    let mut plan = CompiledPlan::from_quantized_strict(&model)
+    let mut plan = CompiledPlan::from_quantized(&model)
         .unwrap()
         .with_threads(1);
     const STEPS: usize = 50;
@@ -257,6 +270,7 @@ fn steady_state_decode_steps_allocate_nothing() {
 
 #[test]
 fn steady_state_holds_with_mmap_borrowed_panels() {
+    let _serial = serial();
     // Same contract as above, but the plan's weight images are borrowed
     // straight from a mapped v2 artifact instead of owned buffers: the
     // storage refactor must not smuggle allocations (or copies) into the
@@ -277,7 +291,7 @@ fn steady_state_holds_with_mmap_borrowed_panels() {
         if cfg!(all(unix, target_endian = "little")) {
             assert!(mapped.is_zero_copy(), "{name}: mapped load copied");
         }
-        let mut plan = mapped.compile_strict().unwrap().with_threads(1);
+        let mut plan = mapped.compile().unwrap().with_threads(1);
         assert!(
             plan.borrowed_layer_count() > 0,
             "{name}: no borrowed weight images"
@@ -313,6 +327,7 @@ fn steady_state_holds_with_mmap_borrowed_panels() {
 
 #[test]
 fn warmup_allocations_are_one_time() {
+    let _serial = serial();
     assert!(is_counting());
     let (_, mut plan, features) = workloads().pop().unwrap();
     let x = sample_tensor(

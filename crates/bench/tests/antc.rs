@@ -29,7 +29,10 @@ fn quantize_inspect_serve_roundtrip() {
     ]))
     .unwrap();
     assert!(report.contains("combo IP-F, 4 bits"), "{report}");
-    assert!(report.contains("coverage: 1.00"), "{report}");
+    assert!(
+        report.contains("plan: 5 layers, 3 carry packed wire codes"),
+        "{report}"
+    );
     assert!(
         report.contains("memoized selection fingerprint"),
         "{report}"
@@ -48,15 +51,7 @@ fn quantize_inspect_serve_roundtrip() {
         assert!(inspect.contains("mmap zero-copy"), "{inspect}");
     }
     assert!(inspect.contains("dense"), "{inspect}");
-    // The coverage line states the documented denominator semantics.
-    assert!(
-        inspect.contains("5 of 5 plan layers packed-executable"),
-        "{inspect}"
-    );
-    assert!(
-        inspect.contains("fallback layers count toward the denominator"),
-        "{inspect}"
-    );
+    assert!(inspect.contains("plan: 5 layers, 3 packed"), "{inspect}");
 
     let dump = temp_artifact("roundtrip-metrics");
     let serve = run(&args(&[
@@ -74,7 +69,6 @@ fn quantize_inspect_serve_roundtrip() {
         serve.contains("served 48 request(s), all verified"),
         "{serve}"
     );
-    assert!(serve.contains("coverage: 1.00"), "{serve}");
     assert!(serve.contains("metrics: wrote"), "{serve}");
     let prom = std::fs::read_to_string(&dump).unwrap();
     #[cfg(feature = "obs")]
@@ -107,6 +101,18 @@ fn quantize_supports_bits_and_combo_overrides() {
     assert!(report.contains("combo Int, 8 bits"), "{report}");
     let inspect = run(&args(&["inspect", path_str])).unwrap();
     assert!(inspect.contains("int8s"), "{inspect}");
+    // With float among the candidates every selection still packs and
+    // serves verified.
+    let report = run(&args(&[
+        "quantize", "--out", path_str, "--model", "mlp", "--epochs", "1", "--combo", "fipf",
+    ]))
+    .unwrap();
+    assert!(report.contains("3 carry packed wire codes"), "{report}");
+    let serve = run(&args(&["serve", path_str, "--requests", "16"])).unwrap();
+    assert!(
+        serve.contains("served 16 request(s), all verified"),
+        "{serve}"
+    );
     std::fs::remove_file(&path).ok();
 }
 

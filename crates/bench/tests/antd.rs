@@ -11,7 +11,9 @@ use ant_bench::antd::{Daemon, DaemonConfig};
 use ant_bench::http::{read_response, write_request, ClientResponse};
 use ant_bench::json::Json;
 use ant_bench::promcheck;
-use ant_runtime::BatchPolicy;
+use ant_core::{ClipSearch, DataType, Granularity, Quantizer, TensorQuantizer};
+use ant_nn::model::NetLayer;
+use ant_runtime::{BatchPolicy, MappedArtifact, ModelArtifact};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -31,6 +33,29 @@ fn artifact(name: &str) -> PathBuf {
         &path,
     )
     .expect("quantize test artifact");
+    path
+}
+
+/// [`artifact`]'s model with every weight quantizer refit to float4 and
+/// every activation quantizer switched to float8 at its selected scale.
+fn float_artifact(name: &str) -> PathBuf {
+    let path = artifact(name);
+    let mut model = ModelArtifact::load_path(&path).unwrap().to_model().unwrap();
+    let (f4, f8) = (DataType::float(4, true), DataType::float(8, true));
+    let (f4, f8) = (f4.unwrap(), f8.unwrap());
+    for layer in model.layers_mut() {
+        if let NetLayer::Dense(d) = layer {
+            let w = d.weight().clone();
+            let fit = TensorQuantizer::fit(f4, &w, Granularity::PerChannel, ClipSearch::default());
+            d.quant.weight = Some(fit.unwrap().0);
+            let scale = d.quant.activation.as_ref().unwrap().scale();
+            d.quant.activation = Some(Quantizer::with_scale(f8, scale).unwrap());
+        }
+    }
+    ModelArtifact::from_model(&model)
+        .unwrap()
+        .save_path(&path)
+        .unwrap();
     path
 }
 
@@ -65,9 +90,13 @@ fn infer_body(v: f32) -> String {
 #[test]
 fn serves_concurrent_clients_with_metrics_reload_and_drain() {
     let path = artifact("e2e");
+    let float_path = float_artifact("e2e-float");
     let daemon = Daemon::start(DaemonConfig {
         addr: "127.0.0.1:0".to_string(),
-        models: vec![("mlp".to_string(), path.clone())],
+        models: vec![
+            ("mlp".to_string(), path.clone()),
+            ("mlp-float".to_string(), float_path.clone()),
+        ],
         policy: BatchPolicy {
             max_batch: 16,
             max_wait: Duration::from_millis(2),
@@ -114,6 +143,29 @@ fn serves_concurrent_clients_with_metrics_reload_and_drain() {
         .collect();
     for w in workers {
         w.join().unwrap();
+    }
+
+    // A float-typed model loads and serves from the same integer GEMM:
+    // its logits are bit-identical to the in-process plan's.
+    let mut plan = MappedArtifact::open(&float_path)
+        .unwrap()
+        .compile()
+        .unwrap();
+    assert_eq!(plan.packed_layer_count(), 3);
+    for v in [0.05f32, -0.4, 1.3] {
+        let body = infer_body(v);
+        let resp = call(addr, "POST", "/v1/models/mlp-float/infer", Some(&body)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let floats = |doc: &Json, key: &str| -> Vec<f32> {
+            let arr = doc.get(key).unwrap().as_arr().unwrap();
+            arr.iter().map(|x| x.as_f64().unwrap() as f32).collect()
+        };
+        let got = floats(&Json::parse(&resp.body_str()).unwrap(), "output");
+        let mut want = Vec::new();
+        let row = floats(&Json::parse(&body).unwrap(), "input");
+        plan.forward_rows(&row, 1, &mut want).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "float model logits for input {v}");
     }
 
     // Bad inputs are client errors, not 500s or hangs.
@@ -199,6 +251,7 @@ fn serves_concurrent_clients_with_metrics_reload_and_drain() {
     // The listener is gone: new connections are refused (or reset).
     assert!(call(addr, "GET", "/healthz", None).is_err());
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&float_path).ok();
 }
 
 #[test]

@@ -108,7 +108,7 @@ fn live_registry_exposition_parses_cleanly() {
         7,
     );
     quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-    let mut plan = ant_runtime::CompiledPlan::from_quantized_strict(&model)
+    let mut plan = ant_runtime::CompiledPlan::from_quantized(&model)
         .unwrap()
         .with_threads(1);
     let x = sample_tensor(
@@ -162,7 +162,7 @@ fn live_decode_series_parse_cleanly() {
         3,
     );
     quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-    let plan = ant_runtime::CompiledPlan::from_quantized_strict(&model)
+    let plan = ant_runtime::CompiledPlan::from_quantized(&model)
         .unwrap()
         .with_threads(1);
     let engine = Engine::new(

@@ -211,6 +211,8 @@ pub struct Codec {
     /// Sorted non-negative magnitudes (excluding sign mirroring).
     magnitudes: Vec<f32>,
     max: f32,
+    /// The lattice unit: every lattice value is an integer multiple of it.
+    unit: f32,
     snap: SnapKind,
 }
 
@@ -233,6 +235,7 @@ impl Codec {
                     dtype,
                     max: hi,
                     magnitudes,
+                    unit: 1.0,
                     snap: SnapKind::IntRound { lo, hi },
                 })
             }
@@ -246,6 +249,7 @@ impl Codec {
                     dtype,
                     max,
                     magnitudes,
+                    unit: 1.0,
                     snap: SnapKind::NearestMagnitude,
                 })
             }
@@ -262,10 +266,14 @@ impl Codec {
                 magnitudes.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
                 magnitudes.dedup();
                 let max = *magnitudes.last().expect("non-empty");
+                // The smallest subnormal step, 2^(1−bias−M): normals are
+                // 2^(e−bias)·(2^M + m)/2^M, so each is a whole multiple.
+                let unit = 2f32.powi(1 - fmt.bias() - fmt.man_bits() as i32);
                 Ok(Codec {
                     dtype,
                     max,
                     magnitudes,
+                    unit,
                     snap: SnapKind::NearestMagnitude,
                 })
             }
@@ -277,6 +285,7 @@ impl Codec {
                     dtype,
                     max,
                     magnitudes,
+                    unit: 1.0,
                     snap: SnapKind::FlintHw(flint),
                 })
             }
@@ -291,6 +300,14 @@ impl Codec {
     /// Largest representable normalized magnitude.
     pub fn max_value(&self) -> f32 {
         self.max
+    }
+
+    /// The lattice unit: the largest power of two every lattice value is
+    /// an integer multiple of — `2^(1−bias−M)`, the smallest subnormal,
+    /// for `float`, and 1 for `int`, `PoT` and `flint`. This is the scale
+    /// of [`Codec::decode_lut_int`]'s integer image.
+    pub fn unit(&self) -> f32 {
+        self.unit
     }
 
     /// Sorted non-negative magnitude lattice.
@@ -371,25 +388,23 @@ impl Codec {
             .collect()
     }
 
-    /// Integer decode LUT: [`Codec::decode_lut`] with every entry as the
-    /// exact lattice integer it is, or `None` when any entry is
-    /// non-integral (the `float` primitive's fractional mantissas) or
-    /// falls outside `i32`. This is the table the packed runtime's integer
-    /// GEMM consumes — after the boundary decode every ANT operand *is* a
-    /// small integer (paper Sec. VI-A), so the MAC array never needs the
-    /// f32 image at all.
+    /// Integer decode LUT: [`Codec::decode_lut`] in units of
+    /// [`Codec::unit`], so `decode_lut_int()[c] as f32 * unit() ==
+    /// decode_lut()[c]` exactly, or `None` when an entry falls outside
+    /// `i32` (`pot6u` reaches 2^62). This is the table the packed
+    /// runtime's integer GEMM consumes — after the boundary decode every
+    /// ANT operand *is* a small integer (paper Sec. VI-A), `float`
+    /// included once its unit is factored into the scale, so the MAC
+    /// array never needs the f32 image at all.
     pub fn decode_lut_int(&self) -> Option<Vec<i32>> {
         self.decode_lut()
             .into_iter()
             .map(|v| {
-                if v.fract() != 0.0 {
+                let units = v / self.unit;
+                if units.fract() != 0.0 {
                     return None;
                 }
-                let wide = v as i64;
-                if wide < i32::MIN as i64 || wide > i32::MAX as i64 {
-                    return None;
-                }
-                Some(wide as i32)
+                i32::try_from(units as i64).ok()
             })
             .collect()
     }
@@ -397,8 +412,9 @@ impl Codec {
     /// Narrow decode LUT: [`Codec::decode_lut_int`] when every lattice
     /// value fits a single byte (`i8`), which is what qualifies a type for
     /// the byte-wide microkernel GEMM path. All of the paper's 4-bit types
-    /// qualify (Table I magnitudes top out at 64); `int8` does too (±127);
-    /// wider flint/PoT magnitudes fall back to the `i16`/`i32` paths.
+    /// qualify (Table I magnitudes top out at 64, as does signed 4-bit
+    /// float in its units); `int8` does too (±127); wider flint/PoT/float
+    /// magnitudes fall back to the `i16`/`i32` paths.
     pub fn decode_lut_i8(&self) -> Option<Vec<i8>> {
         self.decode_lut_int()?
             .into_iter()
@@ -712,10 +728,26 @@ mod tests {
     }
 
     #[test]
-    fn decode_lut_int_rejects_fractional_lattices() {
-        // E2M2 floats have fractional lattice points (0.25 steps).
-        let c = Codec::new(DataType::float(5, true).unwrap()).unwrap();
-        assert!(c.decode_lut_int().is_none());
+    fn decode_lut_int_is_exact_in_lattice_units() {
+        // Every default float lattice is an integer multiple of its
+        // smallest subnormal, so its integer image is exact.
+        for bits in 3..=8 {
+            for signed in [false, true] {
+                let c = Codec::new(DataType::float(bits, signed).unwrap()).unwrap();
+                let fmt = c.dtype().float_format().unwrap();
+                let unit = c.unit();
+                assert_eq!(unit, 2f32.powi(1 - fmt.bias() - fmt.man_bits() as i32));
+                let lut = c.decode_lut();
+                let int = c.decode_lut_int().unwrap_or_else(|| panic!("float{bits}"));
+                for (code, (&f, &v)) in lut.iter().zip(&int).enumerate() {
+                    assert_eq!(
+                        v as f32 * unit,
+                        f,
+                        "float{bits} signed={signed}: code {code}"
+                    );
+                }
+            }
+        }
         // pot6u magnitudes reach 2^62, far past i32.
         let c = Codec::new(DataType::pot(6, false).unwrap()).unwrap();
         assert!(c.decode_lut_int().is_none());

@@ -45,10 +45,10 @@
 //!   is read-only and page-shared across every process serving the same
 //!   file. [`load_copies`] counts owned weight-byte materializations: a
 //!   v2 mapped load contributes zero.
-//! * [`ModelArtifact::compile`] / [`ModelArtifact::compile_strict`] —
-//!   rebuild a [`CompiledPlan`] **directly from the saved wire codes**. No
-//!   float is ever re-encoded, so the reloaded plan's packed codes are
-//!   bit-identical to the plan that was saved.
+//! * [`ModelArtifact::compile`] — rebuild a [`CompiledPlan`] **directly
+//!   from the saved wire codes**. No float is ever re-encoded, so the
+//!   reloaded plan's packed codes are bit-identical to the plan that was
+//!   saved.
 //! * [`ModelArtifact::to_model`] — reconstruct a fake-quantized
 //!   [`Sequential`] (weights dequantized from the codes, quantizers
 //!   reattached from the saved scales) for inspection or further tuning.
@@ -68,10 +68,10 @@
 //! let mut bytes = Vec::new();
 //! artifact.save(&mut bytes)?;
 //!
-//! // Online: load anywhere, strict-compile straight from wire codes.
+//! // Online: load anywhere, compile straight from wire codes.
 //! let reloaded = ModelArtifact::load(&bytes[..])?;
-//! let mut plan = reloaded.compile_strict()?;
-//! assert_eq!(plan.coverage(), 1.0);
+//! let plan = reloaded.compile()?;
+//! assert_eq!(plan.packed_layer_count(), 3);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -81,7 +81,7 @@ use crate::gemm::{KernelOperand, PanelGemm, NR};
 use crate::kv::KvQuantSpec;
 use crate::mmap::Mmap;
 use crate::plan::{
-    act_bound, decode_image, decode_rows_f32, pack_weight_tensor, transpose, CompiledPlan,
+    decode_image, decode_rows_f32, int_lowering, pack_weight_tensor, transpose, CompiledPlan,
     PackedAttn, PackedConv, PackedLinear, PlanLayer, PlanNorm, WeightImage,
 };
 use ant_core::minifloat::FloatFormat;
@@ -210,8 +210,8 @@ pub enum ArtifactError {
     Quant(QuantError),
     /// A model-level operation on the decoded state failed.
     Nn(NnError),
-    /// A plan-compilation operation on the decoded state failed (e.g.
-    /// strict compilation of a float-typed layer).
+    /// A plan-compilation operation on the decoded state failed (e.g. a
+    /// selected type with no integer image).
     Runtime(RuntimeError),
 }
 
@@ -410,6 +410,22 @@ impl LayerRecord {
         }
     }
 
+    /// Whether a weight or activation type of this layer is `float`: the
+    /// layers writers emitted `absent` `PANL` entries for before `float`
+    /// lowered.
+    fn carries_float(&self) -> bool {
+        let float = |dt: DataType| dt.primitive() == PrimitiveType::Float;
+        match self {
+            LayerRecord::Dense { weight, act, .. } | LayerRecord::Conv { weight, act, .. } => {
+                float(act.dtype) || float(weight.codes.dtype())
+            }
+            LayerRecord::Attn { weights, act, .. } => {
+                float(act.dtype) || weights.iter().any(|w| float(w.codes.dtype()))
+            }
+            _ => false,
+        }
+    }
+
     /// Number of `PANL` entries this layer kind owns in a v2 stream.
     fn panel_entry_count(&self) -> usize {
         match self {
@@ -420,15 +436,21 @@ impl LayerRecord {
     }
 }
 
-/// Whether a weight/activation pair lowers to the packed integer domain
-/// (the `PANL` writer serializes a real image exactly when it does) and
-/// its wire codes are shaped consistently enough to build one.
-fn panelable(w: &WeightRecord, act: &ActRecord) -> bool {
+/// The execution image a fresh compile builds for `w` under `act`, or
+/// `None` for a pair that does not lower ([`int_lowering`]; compiling the
+/// layer reports why) or whose wire codes are shaped too inconsistently
+/// to build one. The `PANL` writer serializes a real image exactly when
+/// this is `Some`.
+fn weight_image(w: &WeightRecord, act: &ActRecord) -> Result<Option<WeightImage>, ArtifactError> {
     let dims = w.codes.dims();
-    dims.len() >= 2
-        && dims.iter().product::<usize>() == w.codes.len()
-        && w.codes.dtype().primitive() != PrimitiveType::Float
-        && act.dtype.primitive() != PrimitiveType::Float
+    if dims.len() < 2 || dims.iter().product::<usize>() != w.codes.len() {
+        return Ok(None);
+    }
+    match int_lowering("", &w.codes, &act.quantizer()?) {
+        Ok(low) => Ok(Some(decode_image(&w.codes, &low.lut, low.a_max))),
+        Err(RuntimeError::UnsupportedType { .. }) => Ok(None),
+        Err(e) => Err(ArtifactError::Runtime(e)),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -488,9 +510,9 @@ pub struct LayerSummary {
     pub weights: Vec<WeightSummary>,
     /// Activation selection, for compute layers.
     pub activation: Option<(DataType, f32)>,
-    /// Whether [`ModelArtifact::compile`] lowers this layer to the packed
-    /// integer domain (`false` only for float-typed compute layers, which
-    /// compile to reference-path fallback).
+    /// Whether this layer lowers to the packed integer domain
+    /// ([`ModelArtifact::compile`] refuses a compute layer that does
+    /// not, e.g. one selecting `pot6u`).
     pub packed: bool,
 }
 
@@ -596,26 +618,22 @@ impl ModelArtifact {
     }
 
     /// Compiles an executable plan **directly from the saved wire codes**
-    /// (bit-identical to the plan that produced the artifact). Float-typed
-    /// compute layers compile to reference-path fallback, exactly as
+    /// (bit-identical to the plan that produced the artifact), exactly as
     /// [`CompiledPlan::from_quantized`] would.
     ///
     /// # Errors
     ///
-    /// Propagates reconstruction failures.
+    /// Propagates reconstruction failures and
+    /// [`RuntimeError::UnsupportedType`] (wrapped in
+    /// [`ArtifactError::Runtime`]) for a layer that does not lower.
     pub fn compile(&self) -> Result<CompiledPlan, ArtifactError> {
-        self.build_plan_with(false, None)
+        self.build_plan_with(None)
     }
 
-    /// Strict [`Self::compile`]: a layer the packed path cannot execute
-    /// fails with [`RuntimeError::UnsupportedLayer`] (wrapped in
-    /// [`ArtifactError::Runtime`]) instead of falling back.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::compile`], plus the strict-mode refusal.
+    /// Former strict spelling of [`Self::compile`].
+    #[doc(hidden)]
     pub fn compile_strict(&self) -> Result<CompiledPlan, ArtifactError> {
-        self.build_plan_with(true, None)
+        self.compile()
     }
 
     /// Plan construction shared by the decode path (`images: None` — each
@@ -624,7 +642,6 @@ impl ModelArtifact {
     /// adopted verbatim, typically borrowed straight from the mapping).
     fn build_plan_with(
         &self,
-        strict: bool,
         images: Option<&[Vec<PanelEntry>]>,
     ) -> Result<CompiledPlan, ArtifactError> {
         let mut layers = Vec::with_capacity(self.layers.len());
@@ -737,19 +754,7 @@ impl ModelArtifact {
                     *eps,
                 )))),
             };
-            match lowered {
-                Ok(l) => layers.push(l),
-                Err(RuntimeError::UnsupportedType { layer, dtype }) => {
-                    if strict {
-                        return Err(ArtifactError::Runtime(RuntimeError::UnsupportedLayer {
-                            layer,
-                            reason: format!("selected type {dtype} has no integer-domain decoder"),
-                        }));
-                    }
-                    layers.push(PlanLayer::Fallback(Box::new(record_to_netlayer(record)?)));
-                }
-                Err(e) => return Err(ArtifactError::Runtime(e)),
-            }
+            layers.push(lowered.map_err(ArtifactError::Runtime)?);
         }
         Ok(CompiledPlan::from_plan_layers(layers))
     }
@@ -896,11 +901,12 @@ impl ModelArtifact {
             let images = parse_panel_section(payload, &artifact.layers, None)?;
             for (record, parsed) in artifact.layers.iter().zip(&images) {
                 let expected = expected_entries(record)?;
+                let legacy = record.carries_float();
                 if parsed.len() != expected.len()
                     || !parsed
                         .iter()
                         .zip(&expected)
-                        .all(|(p, e)| entries_match(p, e))
+                        .all(|(p, e)| entries_match(p, e, legacy))
                 {
                     return Err(ArtifactError::Malformed {
                         context: "PANL section".to_string(),
@@ -1184,8 +1190,8 @@ const TAG_F32: u8 = 3;
 const TAG_ABSENT: u8 = 4;
 
 /// One parsed `PANL` entry: a ready-to-adopt execution image, the
-/// attention output-projection operand, or nothing (layer compiles via
-/// fallback / decode).
+/// attention output-projection operand, or nothing (the layer decodes
+/// its image from the wire codes at compile, or does not lower).
 #[derive(Debug)]
 enum PanelEntry {
     /// A dense/conv/attn-projection execution image in microkernel
@@ -1193,7 +1199,7 @@ enum PanelEntry {
     Image(WeightImage),
     /// Attention's transposed f32 output-projection operand.
     WoT(PackedStore<f32>),
-    /// No image serialized (non-integer-domain layer).
+    /// No image serialized.
     Absent,
 }
 
@@ -1242,52 +1248,44 @@ impl RawEntry {
     }
 }
 
-/// Builds the raw `PANL` images for one layer record by running the
-/// exact decode-and-pack path plan compilation uses, so the serialized
-/// panels are bit-identical to what a fresh compile would build.
+/// Builds the raw `PANL` entries for one layer record from
+/// [`expected_entries`], so the serialized panels are bit-identical to
+/// what a fresh compile builds — and to what `verify` recomputes.
 fn raw_entries_for(record: &LayerRecord) -> Result<Vec<RawEntry>, ArtifactError> {
-    match record {
-        LayerRecord::Dense { weight, act, .. } | LayerRecord::Conv { weight, act, .. } => {
-            Ok(vec![raw_weight_entry(weight, act)?])
+    let weights: &[WeightRecord] = match record {
+        LayerRecord::Dense { weight, .. } | LayerRecord::Conv { weight, .. } => {
+            std::slice::from_ref(weight)
         }
-        LayerRecord::Attn {
-            weights, act, dim, ..
-        } => {
-            let square = weights
-                .iter()
-                .all(|w| w.codes.dims() == [*dim, *dim] && panelable(w, act));
-            if !square {
-                return Ok((0..5).map(|_| RawEntry::absent()).collect());
+        LayerRecord::Attn { weights, .. } => &weights[..],
+        _ => &[],
+    };
+    let mut raws = Vec::new();
+    for (i, entry) in expected_entries(record)?.into_iter().enumerate() {
+        raws.push(match entry {
+            PanelEntry::Image(image) => raw_image_entry(&weights[i], image)?,
+            PanelEntry::WoT(wo_t) => {
+                let dim = weights[3].codes.dims()[0] as u32;
+                RawEntry {
+                    tag: TAG_F32,
+                    n: dim,
+                    k: dim,
+                    a_max: 0,
+                    b_max: 0,
+                    lut: Vec::new(),
+                    data: wo_t
+                        .iter()
+                        .flat_map(|v| v.to_bits().to_le_bytes())
+                        .collect(),
+                    off: 0,
+                }
             }
-            let mut entries = Vec::with_capacity(5);
-            for w in weights.iter() {
-                entries.push(raw_weight_entry(w, act)?);
-            }
-            let wo_t = transpose(&decode_rows_f32(&weights[3].codes), *dim);
-            entries.push(RawEntry {
-                tag: TAG_F32,
-                n: *dim as u32,
-                k: *dim as u32,
-                a_max: 0,
-                b_max: 0,
-                lut: Vec::new(),
-                data: wo_t
-                    .iter()
-                    .flat_map(|v| v.to_bits().to_le_bytes())
-                    .collect(),
-                off: 0,
-            });
-            Ok(entries)
-        }
-        _ => Ok(Vec::new()),
+            PanelEntry::Absent => RawEntry::absent(),
+        });
     }
+    Ok(raws)
 }
 
-fn raw_weight_entry(w: &WeightRecord, act: &ActRecord) -> Result<RawEntry, ArtifactError> {
-    if !panelable(w, act) {
-        return Ok(RawEntry::absent());
-    }
-    let image = decode_image(&w.codes, act_bound(&act.quantizer()?))?;
+fn raw_image_entry(w: &WeightRecord, image: WeightImage) -> Result<RawEntry, ArtifactError> {
     let lut = ant_core::Codec::new(w.codes.dtype())?
         .decode_lut_int()
         .unwrap_or_default();
@@ -1328,26 +1326,27 @@ fn raw_weight_entry(w: &WeightRecord, act: &ActRecord) -> Result<RawEntry, Artif
     })
 }
 
-/// The `PANL` entries a v2 writer would emit for `record`, recomputed
-/// from the wire codes. [`ModelArtifact::verify_bytes`] compares these
-/// bit-for-bit against the parsed section.
+/// The `PANL` entries a v2 writer emits for `record`, recomputed from
+/// the wire codes: the writer serializes these, and
+/// [`ModelArtifact::verify_bytes`] compares them bit-for-bit against the
+/// parsed section. A weight that does not lower (or an attention block
+/// with any such projection, or a non-square one) gets `absent` entries.
 fn expected_entries(record: &LayerRecord) -> Result<Vec<PanelEntry>, ArtifactError> {
     match record {
-        LayerRecord::Dense { weight, act, .. } | LayerRecord::Conv { weight, act, .. } => {
-            Ok(vec![expected_weight_entry(weight, act)?])
-        }
+        LayerRecord::Dense { weight, act, .. } | LayerRecord::Conv { weight, act, .. } => Ok(vec![
+            weight_image(weight, act)?.map_or(PanelEntry::Absent, PanelEntry::Image),
+        ]),
         LayerRecord::Attn {
             weights, act, dim, ..
         } => {
-            let square = weights
-                .iter()
-                .all(|w| w.codes.dims() == [*dim, *dim] && panelable(w, act));
-            if !square {
-                return Ok((0..5).map(|_| PanelEntry::Absent).collect());
-            }
             let mut entries = Vec::with_capacity(5);
             for w in weights.iter() {
-                entries.push(expected_weight_entry(w, act)?);
+                match weight_image(w, act)? {
+                    Some(image) if w.codes.dims() == [*dim, *dim] => {
+                        entries.push(PanelEntry::Image(image))
+                    }
+                    _ => return Ok((0..5).map(|_| PanelEntry::Absent).collect()),
+                }
             }
             entries.push(PanelEntry::WoT(PackedStore::from_vec(transpose(
                 &decode_rows_f32(&weights[3].codes),
@@ -1359,18 +1358,15 @@ fn expected_entries(record: &LayerRecord) -> Result<Vec<PanelEntry>, ArtifactErr
     }
 }
 
-fn expected_weight_entry(w: &WeightRecord, act: &ActRecord) -> Result<PanelEntry, ArtifactError> {
-    if !panelable(w, act) {
-        return Ok(PanelEntry::Absent);
-    }
-    Ok(PanelEntry::Image(decode_image(
-        &w.codes,
-        act_bound(&act.quantizer()?),
-    )?))
-}
-
-fn entries_match(parsed: &PanelEntry, expected: &PanelEntry) -> bool {
+/// Whether a parsed entry is what the writer would emit. With `legacy`
+/// (the layer [`LayerRecord::carries_float`]) an `absent` entry also
+/// stands in for an image: writers from before `float` lowered emitted
+/// one there, and compilation decodes the image from the (checksummed)
+/// wire codes instead. Anywhere else a missing image is a mismatch.
+fn entries_match(parsed: &PanelEntry, expected: &PanelEntry, legacy: bool) -> bool {
     match (parsed, expected) {
+        (PanelEntry::Absent, PanelEntry::Absent) => true,
+        (PanelEntry::Absent, _) => legacy,
         (PanelEntry::Image(a), PanelEntry::Image(b)) => images_match(a, b),
         (PanelEntry::WoT(a), PanelEntry::WoT(b)) => {
             a.len() == b.len()
@@ -1378,7 +1374,6 @@ fn entries_match(parsed: &PanelEntry, expected: &PanelEntry) -> bool {
                     .zip(b.iter())
                     .all(|(x, y)| x.to_bits() == y.to_bits())
         }
-        (PanelEntry::Absent, PanelEntry::Absent) => true,
         _ => false,
     }
 }
@@ -1679,23 +1674,19 @@ impl MappedArtifact {
 
     /// Compiles a plan that adopts the mapped panel images verbatim:
     /// weights stay borrowed from the file pages, scratch stays owned
-    /// and per-plan. Fallback semantics match
-    /// [`ModelArtifact::compile`].
+    /// and per-plan.
     ///
     /// # Errors
     ///
     /// As [`ModelArtifact::compile`].
     pub fn compile(&self) -> Result<CompiledPlan, ArtifactError> {
-        self.artifact.build_plan_with(false, self.images.as_deref())
+        self.artifact.build_plan_with(self.images.as_deref())
     }
 
-    /// Strict [`Self::compile`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelArtifact::compile_strict`].
+    /// Former strict spelling of [`Self::compile`].
+    #[doc(hidden)]
     pub fn compile_strict(&self) -> Result<CompiledPlan, ArtifactError> {
-        self.artifact.build_plan_with(true, self.images.as_deref())
+        self.compile()
     }
 }
 
@@ -1915,38 +1906,39 @@ fn summarize(record: &LayerRecord) -> LayerSummary {
         bytes: w.codes.size_bytes(),
         scales: w.codes.scales().len(),
     };
-    let int_domain = |dts: &[DataType]| dts.iter().all(|dt| dt.primitive() != PrimitiveType::Float);
+    let lowers = |ws: &[WeightRecord], act: &ActRecord| {
+        ws.iter().all(|w| {
+            act.quantizer()
+                .is_ok_and(|aq| int_lowering("", &w.codes, &aq).is_ok())
+        })
+    };
     match record {
         LayerRecord::Dense { weight, act, .. } => LayerSummary {
             name: record.name().to_string(),
             kind: "dense",
             weights: vec![weight_summary(weight)],
             activation: Some((act.dtype, act.scale)),
-            packed: int_domain(&[weight.codes.dtype(), act.dtype]),
+            packed: lowers(std::slice::from_ref(weight), act),
         },
         LayerRecord::Conv { weight, act, .. } => LayerSummary {
             name: record.name().to_string(),
             kind: "conv",
             weights: vec![weight_summary(weight)],
             activation: Some((act.dtype, act.scale)),
-            packed: int_domain(&[weight.codes.dtype(), act.dtype]),
+            packed: lowers(std::slice::from_ref(weight), act),
         },
         LayerRecord::Attn {
             weights,
             act,
             causal,
             ..
-        } => {
-            let mut dts: Vec<DataType> = weights.iter().map(|w| w.codes.dtype()).collect();
-            dts.push(act.dtype);
-            LayerSummary {
-                name: record.name().to_string(),
-                kind: if *causal { "causal-attn" } else { "attn" },
-                weights: weights.iter().map(weight_summary).collect(),
-                activation: Some((act.dtype, act.scale)),
-                packed: int_domain(&dts),
-            }
-        }
+        } => LayerSummary {
+            name: record.name().to_string(),
+            kind: if *causal { "causal-attn" } else { "attn" },
+            weights: weights.iter().map(weight_summary).collect(),
+            activation: Some((act.dtype, act.scale)),
+            packed: lowers(&weights[..], act),
+        },
         LayerRecord::Relu { .. } => shape_summary(record, "relu"),
         LayerRecord::Gelu { .. } => shape_summary(record, "gelu"),
         LayerRecord::Pool { .. } => shape_summary(record, "pool"),
@@ -2536,6 +2528,68 @@ mod tests {
             ),
             "unexpected error: {err}"
         );
+    }
+
+    #[cfg(not(miri))]
+    #[test]
+    fn absent_panel_entries_load_by_decoding_and_verify() {
+        // Files written before `float` lowered carry `absent` PANL
+        // entries for float layers: such a stream verifies and compiles
+        // to the same plan. Without float layers it is a writer bug
+        // (dropped images) and fails verify.
+        let absent_stream = |artifact: &ModelArtifact| {
+            let mut panel = Vec::new();
+            put_u32(&mut panel, artifact.layers.len() as u32);
+            for layer in &artifact.layers {
+                panel.push(layer.panel_entry_count() as u8);
+                for _ in 0..layer.panel_entry_count() {
+                    panel.push(TAG_ABSENT);
+                    panel.extend_from_slice(&[0u8; 4 + 4 + 8 + 8 + 4 + 8 + 8]);
+                }
+            }
+            let (model, cache) = (artifact.model_payload(true), artifact.cache_payload());
+            let sections: [([u8; 4], &[u8]); 3] = [
+                (SECTION_MODEL, &model),
+                (SECTION_PANEL, &panel),
+                (SECTION_CACHE, &cache),
+            ];
+            let mut bytes = Vec::new();
+            write_sections(&mut bytes, FORMAT_VERSION, &sections, true).unwrap();
+            bytes
+        };
+        let no_float = ModelArtifact::from_model(&quantized_mlp()).unwrap();
+        assert!(matches!(
+            ModelArtifact::verify_bytes(&absent_stream(&no_float)),
+            Err(ArtifactError::Malformed { .. })
+        ));
+
+        let mut model = quantized_mlp();
+        for layer in model.layers_mut() {
+            if let NetLayer::Dense(d) = layer {
+                let act = d.quant.activation.as_ref().unwrap().scale();
+                let f8 = Quantizer::with_scale(DataType::float(8, true).unwrap(), act);
+                d.quant.activation = Some(f8.unwrap());
+            }
+        }
+        let artifact = ModelArtifact::from_model(&model).unwrap();
+        let bytes = absent_stream(&artifact);
+        ModelArtifact::verify_bytes(&bytes).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "ant-artifact-test-{}-absent.antm",
+            std::process::id()
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let mut decoded = MappedArtifact::open(&path).unwrap().compile().unwrap();
+        let mut direct = artifact.compile().unwrap();
+        assert_eq!(decoded.borrowed_layer_count(), 0);
+        let input =
+            Tensor::from_vec(vec![0.3f32, -0.7, 0.1, 0.9, -0.2, 0.5, 0.0, -1.0], &[1, 8]).unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&decoded.forward(&input).unwrap()),
+            bits(&direct.forward(&input).unwrap())
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -11,8 +11,8 @@ pub enum RuntimeError {
     /// An underlying model operation failed.
     Nn(NnError),
     /// A layer selected a data type the integer-domain engine cannot
-    /// execute (the `float` primitive has no int-based wire decoder —
-    /// paper Sec. V-B ships the int-based PE precisely to avoid it).
+    /// execute exactly: its lattice has no `i32` image (`pot6u` reaches
+    /// 2^62).
     UnsupportedType {
         /// The offending layer's name.
         layer: String,
@@ -24,9 +24,8 @@ pub enum RuntimeError {
         /// The offending layer's name.
         layer: String,
     },
-    /// Strict compilation refused a layer the packed path cannot execute
-    /// (where lenient compilation would emit a reference-path
-    /// `PlanLayer::Fallback` instead).
+    /// A layer or plan cannot execute as asked (inconsistent shapes, a
+    /// non-causal plan asked to decode, an invalid KV spec).
     UnsupportedLayer {
         /// The offending layer's name.
         layer: String,
@@ -81,7 +80,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UnsupportedType { layer, dtype } => {
                 write!(
                     f,
-                    "layer {layer}: type {dtype} has no integer-domain decoder"
+                    "layer {layer}: type {dtype} has no exact integer-domain image"
                 )
             }
             RuntimeError::NotQuantized { layer } => {
@@ -143,7 +142,7 @@ mod tests {
             RuntimeError::Nn(NnError::BadDataset("x".into())),
             RuntimeError::UnsupportedType {
                 layer: "fc".into(),
-                dtype: DataType::float(4, true).unwrap(),
+                dtype: DataType::pot(6, false).unwrap(),
             },
             RuntimeError::NotQuantized { layer: "fc".into() },
             RuntimeError::UnsupportedLayer {

@@ -54,7 +54,10 @@ const TILE_M: usize = 8;
 const MIN_WORK_PER_TASK: usize = 1 << 18;
 
 /// `out[m×n] = a[m×k] · bᵀ` where `b` is `[n, k]` row-major (the
-/// weight-stationary layout). Accumulation is exact in `i64`.
+/// weight-stationary layout). Each product is exact in `i64` and the sum
+/// exact in `i128`; a sum past the `i64` output range saturates to it
+/// instead of wrapping (only lattices as wide as `pot6s`, 2^30 per
+/// operand, can get there, and only on adversarial rows).
 ///
 /// This is the reference kernel: the narrow [`PanelGemm`] microkernel and
 /// the threaded driver are bit-identical to it by construction (integer
@@ -94,10 +97,11 @@ unsafe fn i32_region(
             let w_row = &b[o * k..(o + 1) * k];
             for i in i0..i0 + tile_rows {
                 let a_row = &a[i * k..(i + 1) * k];
-                let mut acc = 0i64;
+                let mut acc = 0i128;
                 for (&av, &wv) in a_row.iter().zip(w_row) {
-                    acc += av as i64 * wv as i64;
+                    acc += i128::from(av as i64 * wv as i64);
                 }
+                let acc = acc.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
                 out.add(i * ldc + o).write(acc);
             }
         }
@@ -515,6 +519,19 @@ mod tests {
             int_gemm(&a, &b, m, k, n, &mut out);
             assert_eq!(out, reference(&a, &b, m, k, n), "m={m} k={k} n={n}");
         }
+    }
+
+    #[test]
+    fn wide_lattice_sums_are_exact_or_saturate() {
+        // pot6s-scale operands: 2^30 · 2^30 per product. Partial sums
+        // past i64 that cancel come out exact; totals past it saturate.
+        let p = 1 << 30;
+        let a = [p; 16];
+        // Rows: 16 × +p (2^64), 8 × +p then 8 × −p (0), 16 × −p (−2^64).
+        let b = [[p; 24], [-p; 24]].concat();
+        let mut out = [0i64; 3];
+        int_gemm(&a, &b, 1, 16, 3, &mut out);
+        assert_eq!(out, [i64::MAX, 0, i64::MIN]);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use crate::error::RuntimeError;
 use crate::scratch::grab;
 use ant_core::select::PrimitiveCombo;
-use ant_core::{Codec, DataType, PrimitiveType};
+use ant_core::{Codec, DataType};
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 
@@ -108,16 +108,10 @@ impl KvQuant {
         }
         let mut cands = Vec::new();
         let mut push = |dt: Result<DataType, ant_core::QuantError>| {
-            if let Ok(dt) = dt {
-                // The float primitive has no int-based decoder anywhere in
-                // the runtime; the KV path keeps that invariant.
-                if dt.primitive() != PrimitiveType::Float {
-                    if let Ok(codec) = Codec::new(dt) {
-                        let lut = codec.decode_lut();
-                        let max = codec.max_value();
-                        cands.push(Candidate { codec, lut, max });
-                    }
-                }
+            if let Ok(codec) = dt.and_then(Codec::new) {
+                let lut = codec.decode_lut();
+                let max = codec.max_value();
+                cands.push(Candidate { codec, lut, max });
             }
         };
         push(DataType::int(spec.bits, true));

@@ -12,10 +12,11 @@
 //!   LUTs. Dense ([`PackedLinear`]), convolution ([`PackedConv`], via an
 //!   integer im2row) and attention ([`PackedAttn`], integer Q/K/V with f32
 //!   softmax at the decode boundary) all execute on wire codes;
-//!   shape-polymorphic layers (ReLU/GELU/pool/norm) ride along, so CNN and
-//!   Transformer pipelines compile with [`CompiledPlan::coverage`] of 1.0.
-//!   [`Planner::strict`] turns silent fallback into a hard
-//!   [`RuntimeError::UnsupportedLayer`],
+//!   shape-polymorphic layers (ReLU/GELU/pool/norm) ride along. Every
+//!   primitive, `float` included, lowers to integers in units of its
+//!   lattice; a type with no exact integer image is refused with
+//!   [`RuntimeError::UnsupportedType`] — there is no reference-path
+//!   fallback,
 //! * [`crate::gemm`] — exact integer-domain GEMM over LUT-decoded
 //!   operands, the software mirror of the TypeFusion decoder → int-PE
 //!   pipeline (paper Figs. 6–9), numerics validated code-for-code against
@@ -58,7 +59,7 @@
 //!   versioned `.antm` binary artifact holding per-tensor type
 //!   selections, per-channel scales, packed wire codes, biases/norm
 //!   parameters and the planner's memoized selection fingerprints.
-//!   Reloading strict-compiles **directly from the wire codes**
+//!   Reloading compiles **directly from the wire codes**
 //!   (bit-identical to the saved plan); corrupted, truncated or
 //!   wrong-version files fail with a structured [`ArtifactError`],
 //! * [`MappedArtifact`] — the zero-copy load path for v2 artifacts:

@@ -7,9 +7,9 @@
 //! Table I) together with a per-layer decode LUT and scales. At compile
 //! time each weight matrix is decoded **once** through the integer LUT
 //! ([`ant_core::Codec::decode_lut_int`]) into the narrowest operand image
-//! that holds its lattice — `i8` for every ≤8-bit paper type, `i16` for
-//! wide flint magnitudes, plain `i32` rows as the general fallback — and
-//! pre-packed into the microkernel panel layout
+//! that holds its lattice — `i8` for every 4-bit paper type and `int8`,
+//! `i16` for wide flint and 8-bit float magnitudes, plain `i32` rows for
+//! anything wider — and pre-packed into the microkernel panel layout
 //! ([`crate::gemm::PanelGemm`]). Execution quantizes activations straight
 //! into the same narrow width and runs the register-blocked integer
 //! microkernel: the software mirror of the TypeFusion array's
@@ -41,12 +41,16 @@
 //!   Fig. 4), and the output projection as a mixed-domain GEMM over the
 //!   LUT-decoded weights with the scale applied at the boundary.
 //!
-//! Shape-polymorphic layers (ReLU, GELU, max-pool, layer norm) carry no
-//! wire codes and execute the same arithmetic as their reference
-//! implementations, so CNN→head and Transformer pipelines compile without
-//! fallback. Only layers whose selected type has no integer decoder (the
-//! `float` primitive) fall back to the fake-quantized reference path —
-//! or fail compilation under [`CompiledPlan::from_quantized_strict`].
+//! Every primitive has an integer image: `float` lattices are whole
+//! multiples of their smallest subnormal ([`ant_core::Codec::unit`]), and
+//! that unit folds into the dequantization scales, so one integer GEMM
+//! serves int, PoT, flint and float alike — the software counterpart of
+//! the paper's type-specific decoders in front of one shared int MAC
+//! (Sec. V). A layer whose lattice has no `i32` image (`pot6u` reaches
+//! 2^62) is refused with [`RuntimeError::UnsupportedType`]; see
+//! `int_lowering`. Shape-polymorphic layers (ReLU, GELU, max-pool,
+//! layer norm) carry no wire codes and execute the same arithmetic as
+//! their reference implementations.
 
 use crate::error::RuntimeError;
 use crate::gemm::{im2row, int_gemm_pooled, PanelGemm};
@@ -56,7 +60,7 @@ use crate::pool::WorkerPool;
 use crate::scratch::{grab, Scratch};
 use ant_core::pack::PackedTensor;
 use ant_core::store::PackedStore;
-use ant_core::{DataType, PrimitiveType, Quantizer, TensorQuantizer};
+use ant_core::{Codec, DataType, PrimitiveType, Quantizer, TensorQuantizer};
 use ant_nn::attention::{layer_norm_group, softmax_rows_in_place, Attention, LayerNorm};
 use ant_nn::gelu::gelu;
 use ant_nn::layer::{Conv2d, Dense, Layer as _};
@@ -66,8 +70,9 @@ use ant_tensor::Tensor;
 use std::sync::Arc;
 
 /// Specialized integer quantization of input activations. Every variant
-/// computes exactly `codec.snap(x / s)` — the fake-quantization semantics —
-/// but the common primitives avoid the generic snap dispatch per element:
+/// computes exactly `codec.snap(x / s)` in lattice units
+/// ([`Codec::unit`]) — the fake-quantization semantics — but the common
+/// primitives avoid the generic snap dispatch per element:
 /// `int` is a round-and-clamp, and `flint` (whose snap rounds to an integer
 /// magnitude first, Algorithm 1) becomes a table lookup over the pre-imaged
 /// magnitudes.
@@ -89,9 +94,13 @@ enum ActQuant {
         /// Whether negative inputs carry a sign (vs clamping to zero).
         signed: bool,
     },
-    /// Fallback: the codec's generic snap (e.g. `PoT`, whose snap is
-    /// nearest-value on the continuous input and cannot be pre-rounded).
-    Snap,
+    /// The codec's generic snap (`PoT` and `float`, whose snap is
+    /// nearest-value on the continuous input and cannot be pre-rounded),
+    /// rescaled to lattice units.
+    Snap {
+        /// `1 / codec.unit()`, a power of two, so the rescale is exact.
+        inv_unit: f32,
+    },
 }
 
 impl ActQuant {
@@ -115,7 +124,9 @@ impl ActQuant {
                     signed: dt.is_signed(),
                 }
             }
-            _ => ActQuant::Snap,
+            PrimitiveType::Pot | PrimitiveType::Float => ActQuant::Snap {
+                inv_unit: codec.unit().recip(),
+            },
         }
     }
 
@@ -136,7 +147,7 @@ impl ActQuant {
                     lut[v.round().max(0.0).min(*max) as usize]
                 }
             }
-            ActQuant::Snap => codec.snap(v) as i32,
+            ActQuant::Snap { inv_unit } => (codec.snap(v) * inv_unit) as i32,
         }
     }
 
@@ -240,13 +251,13 @@ unsafe impl Sync for ShareMut {}
 /// The decode-once integer image of a weight matrix, at the narrowest
 /// width its lattice (and the layer's activation lattice) permits.
 ///
-/// `i8` covers every ≤8-bit paper type (Table I magnitudes top out at 64,
-/// `int8` at ±128); wide flint magnitudes (`flint8u` reaches 16384) take
-/// the `i16` panels; anything wider — or a non-integral lattice that
-/// slipped past strict mode — executes on plain `i32` rows. Panel images
-/// are pre-packed for the microkernel at compile time (or borrowed
-/// verbatim from a mapped v2 artifact's panel section), so serving never
-/// re-lays weights out.
+/// `i8` covers every 4-bit paper type (Table I magnitudes top out at 64,
+/// as does signed 4-bit float in its units) and `int8` (±128); wide
+/// flint magnitudes (`flint8u` reaches 16384) and 8-bit floats (at most
+/// 1984 units) take the `i16` panels; anything wider executes on plain
+/// `i32` rows. Panel images are pre-packed for the microkernel at compile
+/// time (or borrowed verbatim from a mapped v2 artifact's panel section),
+/// so serving never re-lays weights out.
 #[derive(Debug, Clone)]
 pub(crate) enum WeightImage {
     /// Byte panels for the microkernel (quarter traffic, double lanes).
@@ -287,11 +298,14 @@ struct PackedMatrix {
     /// Packed wire codes, shaped (`[out, in]` for dense/attention
     /// projections, `[co, ci, kh, kw]` for conv kernels).
     weights: PackedTensor,
-    /// LUT-decoded integer weights at the execution width.
+    /// LUT-decoded integer weights at the execution width, in units of
+    /// `unit`.
     image: WeightImage,
     /// Per-output-row scales (broadcast when the quantizer was
     /// per-tensor).
     w_scales: Vec<f32>,
+    /// The weight lattice unit ([`Codec::unit`]).
+    unit: f32,
     out: usize,
     inp: usize,
 }
@@ -336,84 +350,105 @@ pub(crate) fn pack_weight_tensor(
     )?)
 }
 
-/// The layer's bound on quantized-activation magnitudes, when the
-/// activation lattice is integral (it is for every int/PoT/flint type
-/// whose values fit `i32`): what fixes the microkernel's widening
-/// cadence and qualifies the narrow operand widths.
-pub(crate) fn act_bound(act: &Quantizer) -> Option<i64> {
-    let codec = act.codec();
-    codec.decode_lut_int()?;
-    Some(codec.max_value() as i64)
+/// What [`int_lowering`] hands plan compilation for one weight tensor.
+pub(crate) struct Lowering {
+    /// The weight's integer decode LUT ([`Codec::decode_lut_int`]).
+    pub(crate) lut: Vec<i32>,
+    /// The weight lattice unit the LUT is expressed in.
+    pub(crate) unit: f32,
+    /// The activation magnitude bound in lattice units: what fixes the
+    /// microkernel's widening cadence and qualifies the narrow operand
+    /// widths.
+    pub(crate) a_max: i64,
+}
+
+/// The packed-domain lowering rule, in one place: a weight tensor and
+/// its layer's activation quantizer run on the shared integer GEMM iff
+/// both lattices have an integer image ([`Codec::decode_lut_int`] is
+/// `Some`). Plan compilation, the v2 panel writer and
+/// [`crate::ModelArtifact::layer_summaries`] all ask this one function.
+///
+/// # Errors
+///
+/// [`RuntimeError::UnsupportedType`] naming the lattice that has no
+/// `i32` image (`pot6u`, whose magnitudes reach 2^62).
+pub(crate) fn int_lowering(
+    layer: &str,
+    weights: &PackedTensor,
+    act: &Quantizer,
+) -> Result<Lowering, RuntimeError> {
+    let refuse = |dtype| RuntimeError::UnsupportedType {
+        layer: layer.to_string(),
+        dtype,
+    };
+    let a_codec = act.codec();
+    a_codec
+        .decode_lut_int()
+        .ok_or_else(|| refuse(act.dtype()))?;
+    let a_max = (a_codec.max_value() / a_codec.unit()) as i64;
+    let codec = Codec::new(weights.dtype())?;
+    let lut = codec
+        .decode_lut_int()
+        .ok_or_else(|| refuse(weights.dtype()))?;
+    Ok(Lowering {
+        lut,
+        unit: codec.unit(),
+        a_max,
+    })
 }
 
 impl PackedMatrix {
-    /// Encodes a `[out, inp]`-flattened weight onto wire codes under `wq`,
-    /// attaching `dims` as the packed tensor's logical shape.
-    fn pack(
-        w: &[f32],
-        out: usize,
-        inp: usize,
-        wq: &TensorQuantizer,
-        dims: &[usize],
-        act_max: Option<i64>,
-    ) -> Result<Self, RuntimeError> {
-        let weights = pack_weight_tensor(w, out, inp, wq, dims)?;
-        Self::from_packed(weights, act_max)
-    }
-
-    /// Reconstructs the executable matrix straight from an existing packed
-    /// tensor — the construction-from-wire-codes path used when a plan is
-    /// rebuilt from a saved artifact. No floats are re-encoded: the wire
-    /// codes *are* the weights, so a reloaded plan is bit-identical to the
-    /// plan that was saved. `act_max` is the activation-lattice magnitude
-    /// bound (see [`act_bound`]); `None` keeps the general `i32` image.
-    fn from_packed(weights: PackedTensor, act_max: Option<i64>) -> Result<Self, RuntimeError> {
-        let (out, inp, w_scales) = Self::validate_shape(&weights)?;
-        let image = decode_image(&weights, act_max)?;
-        Ok(PackedMatrix {
-            weights,
-            image,
-            w_scales,
-            out,
-            inp,
-        })
-    }
-
-    /// Reconstructs the executable matrix from wire codes *and* an
-    /// already-built integer image — the zero-copy path used by
+    /// Builds the executable matrix from packed wire codes under the
+    /// layer's activation quantizer. No floats are re-encoded: the wire
+    /// codes *are* the weights, so a plan rebuilt from a saved artifact
+    /// is bit-identical to the plan that was saved. With `image: None`
+    /// the codes are decoded once into the narrowest operand image; with
+    /// `Some` — the zero-copy path used by
     /// [`crate::artifact::MappedArtifact`], where the image bytes are
-    /// borrowed straight from a mapped v2 panel section. The image's
-    /// shape is validated against the wire codes' dims; its *contents*
-    /// are trusted here (lying panel bytes produce wrong results, not
-    /// UB) and cross-checked against a fresh decode by `antc verify`.
-    pub(crate) fn from_packed_with_image(
+    /// borrowed straight from a mapped v2 panel section — the image's
+    /// shape and activation bound are validated against the wire codes
+    /// but its *contents* are trusted here (lying panel bytes produce
+    /// wrong results, not UB) and cross-checked by `antc verify`.
+    fn new(
+        layer: &str,
         weights: PackedTensor,
-        act_max: Option<i64>,
-        image: WeightImage,
+        act: &Quantizer,
+        image: Option<WeightImage>,
     ) -> Result<Self, RuntimeError> {
         let (out, inp, w_scales) = Self::validate_shape(&weights)?;
-        let shape_ok = match &image {
-            WeightImage::I8(pg) => {
-                (pg.n(), pg.k()) == (out, inp)
-                    && Some(pg.a_max()) == act_max.filter(|&am| am <= i8::MAX as i64)
+        let low = int_lowering(layer, &weights, act)?;
+        let image = match image {
+            None => decode_image(&weights, &low.lut, low.a_max),
+            Some(image) => {
+                let shape_ok = match &image {
+                    WeightImage::I8(pg) => {
+                        (pg.n(), pg.k()) == (out, inp)
+                            && pg.a_max() == low.a_max
+                            && low.a_max <= i8::MAX as i64
+                    }
+                    WeightImage::I16(pg) => {
+                        (pg.n(), pg.k()) == (out, inp) && pg.a_max() == low.a_max
+                    }
+                    WeightImage::I32(rows) => rows.len() == out * inp,
+                };
+                if !shape_ok {
+                    return Err(RuntimeError::Quant(ant_core::QuantError::ChannelMismatch {
+                        expected: out * inp,
+                        actual: match &image {
+                            WeightImage::I8(pg) => pg.n() * pg.k(),
+                            WeightImage::I16(pg) => pg.n() * pg.k(),
+                            WeightImage::I32(rows) => rows.len(),
+                        },
+                    }));
+                }
+                image
             }
-            WeightImage::I16(pg) => (pg.n(), pg.k()) == (out, inp) && Some(pg.a_max()) == act_max,
-            WeightImage::I32(rows) => rows.len() == out * inp,
         };
-        if !shape_ok {
-            return Err(RuntimeError::Quant(ant_core::QuantError::ChannelMismatch {
-                expected: out * inp,
-                actual: match &image {
-                    WeightImage::I8(pg) => pg.n() * pg.k(),
-                    WeightImage::I16(pg) => pg.n() * pg.k(),
-                    WeightImage::I32(rows) => rows.len(),
-                },
-            }));
-        }
         Ok(PackedMatrix {
             weights,
             image,
             w_scales,
+            unit: low.unit,
             out,
             inp,
         })
@@ -518,79 +553,59 @@ impl PackedMatrix {
         acc
     }
 
-    /// The combined per-output dequantization scales for a fixed
-    /// activation scale: `deq[o] = a_scale · w_scales[o]`, precomputed
-    /// once at plan compile time so the per-request dequant loop is a
+    /// The combined per-output dequantization scales for the layer's
+    /// activation quantizer: `deq[o] = (a_scale · a_unit) · (w_scales[o]
+    /// · w_unit)`, the lattice units folded in (exactly: they are powers
+    /// of two, and 1 for every primitive but `float`), precomputed once
+    /// at plan compile time so the per-request dequant loop is a
     /// straight multiply-add stream.
-    fn deq_scales(&self, a_scale: f32) -> Vec<f32> {
-        self.w_scales.iter().map(|&w| a_scale * w).collect()
+    fn deq_scales(&self, act: &Quantizer) -> Vec<f32> {
+        let a = unit_scale(act);
+        self.w_scales.iter().map(|&w| a * (w * self.unit)).collect()
     }
 }
 
-/// Decodes a packed tensor's wire codes into the plan-domain integer
-/// image at the narrowest operand width the weight *and* activation
-/// lattices allow, pre-packing microkernel panels for it. Shared by
-/// plan compilation and the v2 artifact writer so the panel bytes the
-/// writer serializes are bit-identical to the ones a fresh compile
-/// would build.
-pub(crate) fn decode_image(
-    weights: &PackedTensor,
-    act_max: Option<i64>,
-) -> Result<WeightImage, RuntimeError> {
+/// An activation quantizer's scale per lattice unit: what one unit of
+/// the quantized integer activations is worth.
+fn unit_scale(act: &Quantizer) -> f32 {
+    act.scale() * act.codec().unit()
+}
+
+/// Decodes a packed tensor's wire codes through its integer LUT into the
+/// plan-domain image at the narrowest operand width the weight *and*
+/// activation lattices allow, pre-packing microkernel panels for it.
+/// Shared by plan compilation and the v2 artifact writer so the panel
+/// bytes the writer serializes are bit-identical to the ones a fresh
+/// compile would build.
+pub(crate) fn decode_image(weights: &PackedTensor, lut: &[i32], a_max: i64) -> WeightImage {
     let dims = weights.dims();
-    let out = dims[0];
-    let inp: usize = dims[1..].iter().product();
-    let codec = ant_core::Codec::new(weights.dtype())?;
-    // Decode once through the integer LUT when the lattice is
-    // integral (every packed-domain type); fall back to the f32 LUT
-    // cast otherwise — that path only executes behind a Fallback
-    // anyway.
-    let (w_int, integral): (Vec<i32>, bool) = match codec.decode_lut_int() {
-        Some(lut) => (
-            weights.codes().iter().map(|&c| lut[c as usize]).collect(),
-            true,
-        ),
-        None => {
-            let lut = codec.decode_lut();
-            (
-                weights
-                    .codes()
-                    .iter()
-                    .map(|&c| lut[c as usize] as i32)
-                    .collect(),
-                false,
-            )
+    let (out, inp) = (dims[0], dims[1..].iter().product::<usize>());
+    let w_int: Vec<i32> = weights.codes().iter().map(|&c| lut[c as usize]).collect();
+    if a_max <= i8::MAX as i64 {
+        if let Some(w8) = w_int
+            .iter()
+            .map(|&v| i8::try_from(v).ok())
+            .collect::<Option<Vec<i8>>>()
+        {
+            return WeightImage::I8(PanelGemm::pack(&w8, out, inp, a_max));
         }
-    };
-    if integral {
-        if let Some(am) = act_max {
-            if am <= i8::MAX as i64 {
-                if let Some(w8) = w_int
-                    .iter()
-                    .map(|&v| i8::try_from(v).ok())
-                    .collect::<Option<Vec<i8>>>()
-                {
-                    return Ok(WeightImage::I8(PanelGemm::pack(&w8, out, inp, am)));
-                }
-            }
-            if am <= i16::MAX as i64 {
-                if let Some(w16) = w_int
-                    .iter()
-                    .map(|&v| i16::try_from(v).ok())
-                    .collect::<Option<Vec<i16>>>()
-                {
-                    let b_max = w16.iter().map(|&v| (v as i64).abs()).max().unwrap_or(0);
-                    // A cadence too short to amortize the widening
-                    // fold means the magnitudes are effectively wide:
-                    // take the general path instead.
-                    if crate::gemm::k_block_for(am, b_max) >= 16 {
-                        return Ok(WeightImage::I16(PanelGemm::pack(&w16, out, inp, am)));
-                    }
-                }
+    }
+    if a_max <= i16::MAX as i64 {
+        if let Some(w16) = w_int
+            .iter()
+            .map(|&v| i16::try_from(v).ok())
+            .collect::<Option<Vec<i16>>>()
+        {
+            let b_max = w16.iter().map(|&v| (v as i64).abs()).max().unwrap_or(0);
+            // A cadence too short to amortize the widening fold means
+            // the magnitudes are effectively wide: take the general path
+            // instead.
+            if crate::gemm::k_block_for(a_max, b_max) >= 16 {
+                return WeightImage::I16(PanelGemm::pack(&w16, out, inp, a_max));
             }
         }
     }
-    Ok(WeightImage::I32(PackedStore::from_vec(w_int)))
+    WeightImage::I32(PackedStore::from_vec(w_int))
 }
 
 /// Decodes a packed tensor's wire codes to f32 lattice values (exact,
@@ -669,21 +684,6 @@ struct LayerScratch<'a> {
     kv_codes: &'a mut Vec<u8>,
 }
 
-/// Rejects types the integer-domain engine cannot execute (the `float`
-/// primitive has no int-based wire decoder — paper Sec. V-B ships the
-/// int-based PE precisely to avoid it).
-fn check_int_domain(layer: &str, dtypes: &[DataType]) -> Result<(), RuntimeError> {
-    for &dt in dtypes {
-        if dt.primitive() == PrimitiveType::Float {
-            return Err(RuntimeError::UnsupportedType {
-                layer: layer.to_string(),
-                dtype: dt,
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Validates a `[batch, features]` slice against an expected feature
 /// count.
 fn check_features(x: &[f32], batch: usize, expected: usize) -> Result<(), RuntimeError> {
@@ -742,19 +742,14 @@ impl PackedLinear {
         act: Quantizer,
         image: Option<WeightImage>,
     ) -> Result<Self, RuntimeError> {
-        check_int_domain(&name, &[weights.dtype(), act.dtype()])?;
-        let bound = act_bound(&act);
-        let mat = match image {
-            Some(img) => PackedMatrix::from_packed_with_image(weights, bound, img)?,
-            None => PackedMatrix::from_packed(weights, bound)?,
-        };
+        let mat = PackedMatrix::new(&name, weights, &act, image)?;
         if bias.len() != mat.out {
             return Err(RuntimeError::ShapeMismatch {
                 expected: mat.out,
                 actual: bias.len(),
             });
         }
-        let deq = mat.deq_scales(act.scale());
+        let deq = mat.deq_scales(&act);
         Ok(PackedLinear {
             name,
             mat,
@@ -879,7 +874,6 @@ impl PackedConv {
         geo: Conv2dGeometry,
         image: Option<WeightImage>,
     ) -> Result<Self, RuntimeError> {
-        check_int_domain(&name, &[weights.dtype(), act.dtype()])?;
         let dims = weights.dims().to_vec();
         if dims.len() != 4 || dims[1] != in_shape.0 || dims[2] != geo.kh || dims[3] != geo.kw {
             return Err(RuntimeError::UnsupportedLayer {
@@ -904,11 +898,7 @@ impl PackedConv {
                 })
             }
         };
-        let bound = act_bound(&act);
-        let mat = match image {
-            Some(img) => PackedMatrix::from_packed_with_image(weights, bound, img)?,
-            None => PackedMatrix::from_packed(weights, bound)?,
-        };
+        let mat = PackedMatrix::new(&name, weights, &act, image)?;
         if bias.len() != mat.out {
             return Err(RuntimeError::ShapeMismatch {
                 expected: mat.out,
@@ -916,7 +906,7 @@ impl PackedConv {
             });
         }
         let out_shape = (dims[0], oh, ow);
-        let deq = mat.deq_scales(act.scale());
+        let deq = mat.deq_scales(&act);
         Ok(PackedConv {
             name,
             mat,
@@ -1148,9 +1138,6 @@ impl PackedAttn {
         act: Quantizer,
         prebuilt: Option<([WeightImage; 4], PackedStore<f32>)>,
     ) -> Result<Self, RuntimeError> {
-        let mut dtypes = vec![act.dtype()];
-        dtypes.extend(projections.iter().map(|p| p.dtype()));
-        check_int_domain(&name, &dtypes)?;
         for p in &projections {
             if p.dims() != [dim, dim] {
                 return Err(RuntimeError::UnsupportedLayer {
@@ -1159,8 +1146,8 @@ impl PackedAttn {
                 });
             }
         }
-        let bound = act_bound(&act);
         let [q, k, v, o] = projections;
+        let pm = |w, img| PackedMatrix::new(&name, w, &act, img);
         let (projs, wo_t_f32) = match prebuilt {
             Some(([qi, ki, vi, oi], wo_t)) => {
                 if wo_t.len() != dim * dim {
@@ -1171,26 +1158,21 @@ impl PackedAttn {
                 }
                 (
                     [
-                        PackedMatrix::from_packed_with_image(q, bound, qi)?,
-                        PackedMatrix::from_packed_with_image(k, bound, ki)?,
-                        PackedMatrix::from_packed_with_image(v, bound, vi)?,
-                        PackedMatrix::from_packed_with_image(o, bound, oi)?,
+                        pm(q, Some(qi))?,
+                        pm(k, Some(ki))?,
+                        pm(v, Some(vi))?,
+                        pm(o, Some(oi))?,
                     ],
                     wo_t,
                 )
             }
             None => {
-                let projs = [
-                    PackedMatrix::from_packed(q, bound)?,
-                    PackedMatrix::from_packed(k, bound)?,
-                    PackedMatrix::from_packed(v, bound)?,
-                    PackedMatrix::from_packed(o, bound)?,
-                ];
+                let projs = [pm(q, None)?, pm(k, None)?, pm(v, None)?, pm(o, None)?];
                 let wo_t = PackedStore::from_vec(transpose(&projs[3].rows_f32(), dim));
                 (projs, wo_t)
             }
         };
-        let deq_qkv = std::array::from_fn(|i| projs[i].deq_scales(act.scale()));
+        let deq_qkv = std::array::from_fn(|i| projs[i].deq_scales(&act));
         Ok(PackedAttn {
             name,
             seq,
@@ -1289,6 +1271,7 @@ impl PackedAttn {
         check_features(x, batch, feat)?;
         let (seq, dim) = (self.seq, self.dim);
         let s_a = self.act.scale();
+        let s_res = unit_scale(&self.act);
         // One i32 master quantization serves all projections (which may
         // sit at different operand widths) and the residual below. It is
         // taken out of the arena for the duration of the call so the
@@ -1412,7 +1395,7 @@ impl PackedAttn {
                     }
                 }
                 for (o, out_val) in row_out.iter_mut().enumerate() {
-                    *out_val = a32[r * dim + o] as f32 * s_a + *out_val * w_scales[o];
+                    *out_val = a32[r * dim + o] as f32 * s_res + *out_val * w_scales[o];
                 }
             }
         });
@@ -1459,6 +1442,7 @@ impl PackedAttn {
         );
         let kvq = self.kv_codec()?;
         let s_a = self.act.scale();
+        let s_res = unit_scale(&self.act);
         self.act_quant
             .apply_all_into(x, s_a, self.act.codec(), ws.act_i32);
         let master = std::mem::take(ws.act_i32);
@@ -1590,7 +1574,7 @@ impl PackedAttn {
                     }
                 }
                 for (o, out_val) in row_out.iter_mut().enumerate() {
-                    *out_val = a32[r * dim + o] as f32 * s_a + *out_val * w_scales[o];
+                    *out_val = a32[r * dim + o] as f32 * s_res + *out_val * w_scales[o];
                 }
             }
         });
@@ -1623,6 +1607,7 @@ impl PackedAttn {
         check_features(x, rows, dim)?;
         let kvq = self.kv_codec()?;
         let s_a = self.act.scale();
+        let s_res = unit_scale(&self.act);
         self.act_quant
             .apply_all_into(x, s_a, self.act.codec(), ws.act_i32);
         let master = std::mem::take(ws.act_i32);
@@ -1715,7 +1700,7 @@ impl PackedAttn {
                 }
             }
             for (o, out_val) in row_out.iter_mut().enumerate() {
-                *out_val = a32[r * dim + o] as f32 * s_a + *out_val * w_scales[o];
+                *out_val = a32[r * dim + o] as f32 * s_res + *out_val * w_scales[o];
             }
         }
         *ws.act_i32 = master;
@@ -1867,10 +1852,6 @@ pub enum PlanLayer {
     },
     /// Layer normalisation (decode-boundary, f32).
     Norm(Box<PlanNorm>),
-    /// Reference (fake-quantized f32) execution for layers the packed
-    /// path cannot cover (a `float`-typed selection). This path is off
-    /// the zero-allocation hot path: it round-trips through [`Tensor`].
-    Fallback(Box<NetLayer>),
 }
 
 /// An executable quantized inference plan.
@@ -1886,74 +1867,45 @@ pub struct CompiledPlan {
 impl CompiledPlan {
     /// Compiles a plan from a model whose quantizable layers already carry
     /// quantizers (e.g. after [`ant_nn::qat::quantize_model`] or via
-    /// [`crate::Planner::compile`], which adds the memoizing cache).
-    ///
-    /// Layers whose selected type has no integer-domain decoder (the
-    /// `float` primitive) compile to [`PlanLayer::Fallback`] and execute
-    /// through their fake-quantized reference implementation; use
-    /// [`Self::from_quantized_strict`] to refuse them instead, and
-    /// [`Self::coverage`] to observe how much of a plan is packed.
+    /// [`crate::Planner::compile`], which adds the memoizing cache). Every
+    /// layer lowers to the packed integer domain or compilation fails.
     ///
     /// # Errors
     ///
     /// * [`RuntimeError::NotQuantized`] when a quantizable layer has no
-    ///   weight/activation quantizers (either mode — serving an
-    ///   unquantized model is never silently acceptable).
+    ///   weight/activation quantizers,
+    /// * [`RuntimeError::UnsupportedType`] when a selected type has no
+    ///   integer image (see [`Codec::decode_lut_int`]).
     pub fn from_quantized(model: &Sequential) -> Result<Self, RuntimeError> {
-        Self::compile(model, false)
-    }
-
-    /// Strict [`Self::from_quantized`]: every layer must lower to the
-    /// packed domain.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::from_quantized`], plus
-    /// [`RuntimeError::UnsupportedLayer`] wherever the lenient mode would
-    /// have emitted a [`PlanLayer::Fallback`].
-    pub fn from_quantized_strict(model: &Sequential) -> Result<Self, RuntimeError> {
-        Self::compile(model, true)
-    }
-
-    fn compile(model: &Sequential, strict: bool) -> Result<Self, RuntimeError> {
         let mut layers = Vec::with_capacity(model.layers().len());
         for layer in model.layers() {
-            let lowered = match layer {
-                NetLayer::Dense(d) => pack_dense(d).map(|p| PlanLayer::Packed(Box::new(p))),
-                NetLayer::Conv(c) => pack_conv(c).map(|p| PlanLayer::PackedConv(Box::new(p))),
-                NetLayer::Attn(a) => pack_attn(a).and_then(|p| {
-                    if a.causal() {
-                        // Causal blocks carry the default M-ANT KV group
-                        // codec; override per plan with
-                        // [`CompiledPlan::with_kv_quant`].
-                        p.into_causal(KvQuantSpec::default())
-                            .map(|p| PlanLayer::PackedCausalAttn(Box::new(p)))
-                    } else {
-                        Ok(PlanLayer::PackedAttn(Box::new(p)))
-                    }
-                }),
-                NetLayer::Relu(_) => Ok(PlanLayer::Relu),
-                NetLayer::Gelu(_) => Ok(PlanLayer::Gelu),
-                NetLayer::Pool(p) => Ok(PlanLayer::Pool {
-                    in_shape: p.in_shape(),
-                }),
-                NetLayer::Norm(n) => Ok(PlanLayer::Norm(Box::new(PlanNorm::from_layer(n)))),
-            };
-            match lowered {
-                Ok(l) => layers.push(l),
-                Err(RuntimeError::UnsupportedType { layer: name, dtype }) => {
-                    if strict {
-                        return Err(RuntimeError::UnsupportedLayer {
-                            layer: name,
-                            reason: format!("selected type {dtype} has no integer-domain decoder"),
-                        });
-                    }
-                    layers.push(PlanLayer::Fallback(Box::new(layer.clone())));
+            layers.push(match layer {
+                NetLayer::Dense(d) => PlanLayer::Packed(Box::new(pack_dense(d)?)),
+                NetLayer::Conv(c) => PlanLayer::PackedConv(Box::new(pack_conv(c)?)),
+                NetLayer::Attn(a) if a.causal() => {
+                    // Causal blocks carry the default M-ANT KV group
+                    // codec; override per plan with
+                    // [`CompiledPlan::with_kv_quant`].
+                    let p = pack_attn(a)?.into_causal(KvQuantSpec::default())?;
+                    PlanLayer::PackedCausalAttn(Box::new(p))
                 }
-                Err(e) => return Err(e),
-            }
+                NetLayer::Attn(a) => PlanLayer::PackedAttn(Box::new(pack_attn(a)?)),
+                NetLayer::Relu(_) => PlanLayer::Relu,
+                NetLayer::Gelu(_) => PlanLayer::Gelu,
+                NetLayer::Pool(p) => PlanLayer::Pool {
+                    in_shape: p.in_shape(),
+                },
+                NetLayer::Norm(n) => PlanLayer::Norm(Box::new(PlanNorm::from_layer(n))),
+            });
         }
         Ok(Self::from_plan_layers(layers))
+    }
+
+    /// Former strict spelling of [`Self::from_quantized`], which now
+    /// always refuses what it cannot lower.
+    #[doc(hidden)]
+    pub fn from_quantized_strict(model: &Sequential) -> Result<Self, RuntimeError> {
+        Self::from_quantized(model)
     }
 
     /// Assembles a plan from already-lowered steps (the artifact reload
@@ -2036,28 +1988,6 @@ impl CompiledPlan {
             .count()
     }
 
-    /// Fraction of plan layers executing outside the fallback path.
-    ///
-    /// The denominator is **every** layer of the plan, fallback layers
-    /// included: `coverage() == 1 − fallback_count / layers().len()`.
-    /// Packed compute layers *and* shape-polymorphic decode-boundary
-    /// layers (ReLU/GELU/pool/norm) count as covered; float-typed
-    /// [`PlanLayer::Fallback`] layers count against coverage but still
-    /// count in the denominator — a 5-layer plan with one fallback reports
-    /// exactly `0.8`, never `4/4`. `antc inspect` and the serving examples
-    /// print this same quantity; an empty plan reports `1.0`.
-    pub fn coverage(&self) -> f64 {
-        if self.layers.is_empty() {
-            return 1.0;
-        }
-        let fallback = self
-            .layers
-            .iter()
-            .filter(|l| matches!(l, PlanLayer::Fallback(_)))
-            .count();
-        1.0 - fallback as f64 / self.layers.len() as f64
-    }
-
     /// Bytes of packed weight storage (the aligned `⌈n·bits/8⌉` footprint),
     /// versus the f32 bytes the same weights would occupy.
     pub fn weight_bytes(&self) -> (usize, usize) {
@@ -2092,7 +2022,7 @@ impl CompiledPlan {
     ///
     /// # Errors
     ///
-    /// Propagates shape mismatches and fallback-layer failures.
+    /// Propagates shape mismatches.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, RuntimeError> {
         if self.layers.is_empty() {
             return Ok(x.clone());
@@ -2114,14 +2044,13 @@ impl CompiledPlan {
     /// into `out` — the allocation-free serving entry point: every
     /// intermediate lives in the plan's [`Scratch`] arena and `out` is
     /// `clear`ed and refilled in place, so once buffers have reached
-    /// their high-water marks a call performs **zero heap allocations**
-    /// (fallback layers excepted — they round-trip through [`Tensor`]).
+    /// their high-water marks a call performs **zero heap allocations**.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::ShapeMismatch`] when `batch` is zero, `x` is not a
     /// whole number of rows, or a layer's expected feature count
-    /// disagrees; plus fallback-layer failures.
+    /// disagrees.
     pub fn forward_rows(
         &mut self,
         x: &[f32],
@@ -2247,14 +2176,6 @@ impl CompiledPlan {
                     n.forward_rows(cur, batch, next)?;
                     cur_is_ping = !cur_is_ping;
                 }
-                PlanLayer::Fallback(l) => {
-                    let features = cur.len() / batch;
-                    let t = Tensor::from_vec(cur.clone(), &[batch, features])
-                        .expect("pipeline buffer is batch × features");
-                    let y = l.forward(&t)?;
-                    grab(next, y.len(), 0.0).copy_from_slice(y.as_slice());
-                    cur_is_ping = !cur_is_ping;
-                }
             }
             let t_now = obs::now();
             let out_len = if cur_is_ping != was_ping {
@@ -2331,7 +2252,7 @@ impl CompiledPlan {
     ///
     /// [`RuntimeError::UnsupportedLayer`] when `max_tokens` is zero, the
     /// plan has no causal layer, or a step is not decodable
-    /// (convolution/pooling/encoder attention/fallback).
+    /// (convolution/pooling/encoder attention).
     pub fn open_session(&self, max_tokens: usize) -> Result<DecodeSession, RuntimeError> {
         self.session_factory()?.open(max_tokens)
     }
@@ -2367,11 +2288,6 @@ impl CompiledPlan {
                 }
                 PlanLayer::Pool { .. } => {
                     return Err(decode_err("pooling is not token-local".to_string()));
-                }
-                PlanLayer::Fallback(_) => {
-                    return Err(decode_err(
-                        "fallback layers do not execute in the decode phase".to_string(),
-                    ));
                 }
             }
         }
@@ -2535,10 +2451,7 @@ impl CompiledPlan {
                 // Unreachable when the session came from `open_session`
                 // (it validates the whole plan); kept as a structured
                 // error for hand-built sessions.
-                PlanLayer::PackedAttn(_)
-                | PlanLayer::PackedConv(_)
-                | PlanLayer::Pool { .. }
-                | PlanLayer::Fallback(_) => {
+                PlanLayer::PackedAttn(_) | PlanLayer::PackedConv(_) | PlanLayer::Pool { .. } => {
                     return Err(decode_err(
                         "a non-token-local layer cannot execute in the decode phase".to_string(),
                     ));
@@ -2678,13 +2591,10 @@ fn layer_obs_info(
         PlanLayer::Gelu => (LayerKind::Gelu, 0, act_bytes),
         PlanLayer::Pool { .. } => (LayerKind::Pool, 0, act_bytes),
         PlanLayer::Norm(_) => (LayerKind::Norm, 0, act_bytes),
-        PlanLayer::Fallback(_) => (LayerKind::Fallback, 0, act_bytes),
     }
 }
 
-/// Input feature count implied by a lowered plan step, when it has one
-/// (mirrors [`layer_in_features`] so artifact-reloaded plans pin the same
-/// input width as freshly compiled ones).
+/// Input feature count implied by a lowered plan step, when it has one.
 fn plan_layer_in_features(layer: &PlanLayer) -> Option<usize> {
     match layer {
         PlanLayer::Packed(p) => Some(p.in_features()),
@@ -2693,53 +2603,19 @@ fn plan_layer_in_features(layer: &PlanLayer) -> Option<usize> {
         PlanLayer::Pool {
             in_shape: (c, h, w),
         } => Some(c * h * w),
-        PlanLayer::Fallback(l) => layer_in_features(l),
-        _ => None,
-    }
-}
-
-/// Input feature count implied by a layer's geometry, when it has one.
-fn layer_in_features(layer: &NetLayer) -> Option<usize> {
-    match layer {
-        NetLayer::Dense(d) => Some(d.in_features()),
-        NetLayer::Conv(c) => {
-            let (ci, h, w) = c.in_shape();
-            Some(ci * h * w)
-        }
-        NetLayer::Pool(p) => {
-            let (c, h, w) = p.in_shape();
-            Some(c * h * w)
-        }
-        NetLayer::Attn(a) => Some(a.seq() * a.dim()),
         _ => None,
     }
 }
 
 /// Packs one quantized dense layer: encodes the fake-quantized weight onto
-/// wire codes, precomputes the LUT-decoded narrow weight image, and
-/// carries the activation quantizer.
+/// wire codes and builds the layer from them, exactly as a reload from a
+/// saved artifact does.
 fn pack_dense(d: &Dense) -> Result<PackedLinear, RuntimeError> {
     let name = d.name().to_string();
     let (wq, aq) = require_quantizers(&name, &d.quant.weight, &d.quant.activation)?;
-    check_int_domain(&name, &[wq.dtype(), aq.dtype()])?;
     let (out, inp) = (d.out_features(), d.in_features());
-    let mat = PackedMatrix::pack(
-        d.weight().as_slice(),
-        out,
-        inp,
-        wq,
-        &[out, inp],
-        act_bound(aq),
-    )?;
-    let deq = mat.deq_scales(aq.scale());
-    Ok(PackedLinear {
-        name,
-        mat,
-        bias: d.bias().as_slice().to_vec(),
-        deq,
-        act_quant: ActQuant::for_quantizer(aq),
-        act: aq.clone(),
-    })
+    let weights = pack_weight_tensor(d.weight().as_slice(), out, inp, wq, &[out, inp])?;
+    PackedLinear::from_parts(name, weights, d.bias().as_slice().to_vec(), aq.clone())
 }
 
 /// Packs one quantized convolution: kernel codes shaped `[co, ci, kh, kw]`
@@ -2748,76 +2624,35 @@ fn pack_dense(d: &Dense) -> Result<PackedLinear, RuntimeError> {
 fn pack_conv(c: &Conv2d) -> Result<PackedConv, RuntimeError> {
     let name = c.name().to_string();
     let (wq, aq) = require_quantizers(&name, &c.quant.weight, &c.quant.activation)?;
-    check_int_domain(&name, &[wq.dtype(), aq.dtype()])?;
     let dims = c.weight().dims().to_vec();
     let (co, kin) = (dims[0], dims[1] * dims[2] * dims[3]);
-    let mat = PackedMatrix::pack(c.weight().as_slice(), co, kin, wq, &dims, act_bound(aq))?;
-    let deq = mat.deq_scales(aq.scale());
-    Ok(PackedConv {
+    let weights = pack_weight_tensor(c.weight().as_slice(), co, kin, wq, &dims)?;
+    PackedConv::from_parts(
         name,
-        mat,
-        bias: c.bias().as_slice().to_vec(),
-        deq,
-        act_quant: ActQuant::for_quantizer(aq),
-        act: aq.clone(),
-        in_shape: c.in_shape(),
-        geo: c.geometry(),
-        out_shape: c.out_shape(),
-    })
+        weights,
+        c.bias().as_slice().to_vec(),
+        aq.clone(),
+        c.in_shape(),
+        c.geometry(),
+    )
 }
 
 /// Packs one quantized attention block: all four projection weights onto
 /// wire codes plus the shared input-activation quantizer.
 fn pack_attn(a: &Attention) -> Result<PackedAttn, RuntimeError> {
     let name = a.name().to_string();
-    let aq = a
-        .quant
-        .activation
-        .as_ref()
-        .ok_or_else(|| RuntimeError::NotQuantized {
-            layer: name.clone(),
-        })?;
-    let mut dtypes = vec![aq.dtype()];
-    for wq in &a.quant.weights {
-        match wq {
-            Some(q) => dtypes.push(q.dtype()),
-            None => {
-                return Err(RuntimeError::NotQuantized {
-                    layer: name.clone(),
-                })
-            }
-        }
-    }
-    check_int_domain(&name, &dtypes)?;
+    let not_quantized = || RuntimeError::NotQuantized {
+        layer: name.clone(),
+    };
+    let aq = a.quant.activation.as_ref().ok_or_else(not_quantized)?;
     let dim = a.dim();
-    let bound = act_bound(aq);
-    let weights = a.projection_weights();
-    let mut projs = Vec::with_capacity(4);
-    for (w, wq) in weights.iter().zip(&a.quant.weights) {
-        let wq = wq.as_ref().expect("checked above");
-        projs.push(PackedMatrix::pack(
-            w.as_slice(),
-            dim,
-            dim,
-            wq,
-            &[dim, dim],
-            bound,
-        )?);
+    let mut projections = Vec::with_capacity(4);
+    for (w, wq) in a.projection_weights().iter().zip(&a.quant.weights) {
+        let wq = wq.as_ref().ok_or_else(not_quantized)?;
+        projections.push(pack_weight_tensor(w.as_slice(), dim, dim, wq, &[dim, dim])?);
     }
-    let projs: [PackedMatrix; 4] = projs.try_into().expect("exactly four projections");
-    let wo_t_f32 = PackedStore::from_vec(transpose(&projs[3].rows_f32(), dim));
-    let deq_qkv = std::array::from_fn(|i| projs[i].deq_scales(aq.scale()));
-    Ok(PackedAttn {
-        name,
-        seq: a.seq(),
-        dim,
-        projs,
-        deq_qkv,
-        wo_t_f32,
-        act_quant: ActQuant::for_quantizer(aq),
-        act: aq.clone(),
-        kv: None,
-    })
+    let projections: [PackedTensor; 4] = projections.try_into().expect("exactly four projections");
+    PackedAttn::from_parts(name, a.seq(), dim, projections, aq.clone())
 }
 
 /// Unwraps a layer's weight/activation quantizer pair or reports it as
@@ -2879,7 +2714,6 @@ mod tests {
         let mut plan = CompiledPlan::from_quantized(&model).unwrap();
         assert_eq!(plan.packed_layer_count(), 3);
         assert_eq!(plan.in_features(), Some(8));
-        assert_eq!(plan.coverage(), 1.0);
         let x = calib;
         assert_close(&mut plan, &mut model, &x);
     }
@@ -2906,8 +2740,7 @@ mod tests {
         let mut model = small_cnn(4, 7);
         let calib = gaussian(&[24, 144], 9);
         quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-        let mut plan = CompiledPlan::from_quantized_strict(&model).unwrap();
-        assert_eq!(plan.coverage(), 1.0);
+        let mut plan = CompiledPlan::from_quantized(&model).unwrap();
         assert_eq!(plan.packed_layer_count(), 3); // conv1, conv2, head
         assert_eq!(plan.in_features(), Some(144));
         assert!(plan
@@ -2926,8 +2759,7 @@ mod tests {
         ] {
             let calib = gaussian(&[24, feat], 11);
             quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-            let mut plan = CompiledPlan::from_quantized_strict(&model).unwrap();
-            assert_eq!(plan.coverage(), 1.0);
+            let mut plan = CompiledPlan::from_quantized(&model).unwrap();
             assert!(plan
                 .layers()
                 .iter()
@@ -2937,57 +2769,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn float_typed_layer_falls_back_leniently_and_fails_strict() {
-        let (mut model, calib) = quantized_mlp();
-        // Force a float-typed weight on the middle dense layer.
-        let fdt = DataType::float(4, true).unwrap();
-        if let NetLayer::Dense(d) = &mut model.layers_mut()[2] {
+    /// Re-fits one dense layer of `model` at `dt`: the weight (`weight:
+    /// true`) or the input activation.
+    fn force_dense_type(model: &mut Sequential, layer: usize, dt: DataType, weight: bool) {
+        let calib = gaussian(&[64, 8], 3);
+        let inputs = ant_nn::qat::capture_layer_inputs(model, &calib).unwrap();
+        let NetLayer::Dense(d) = &mut model.layers_mut()[layer] else {
+            panic!("layer {layer} is not dense");
+        };
+        if weight {
             let (q, _) = TensorQuantizer::fit(
-                fdt,
+                dt,
                 &d.weight().clone(),
                 Granularity::PerChannel,
                 ClipSearch::default(),
             )
             .unwrap();
             d.quant.weight = Some(q);
-        }
-        let mut plan = CompiledPlan::from_quantized(&model).unwrap();
-        assert!(plan.coverage() < 1.0);
-        assert_eq!(plan.packed_layer_count(), 2);
-        assert!(plan
-            .layers()
-            .iter()
-            .any(|l| matches!(l, PlanLayer::Fallback(_))));
-        // Fallback still computes exactly what the reference computes.
-        assert_close(&mut plan, &mut model, &calib.clone());
-        // Strict mode refuses the same model.
-        match CompiledPlan::from_quantized_strict(&model) {
-            Err(RuntimeError::UnsupportedLayer { layer, .. }) => assert_eq!(layer, "fc2"),
-            other => panic!("expected UnsupportedLayer, got {other:?}"),
+        } else {
+            let input = inputs[layer].as_ref().unwrap();
+            let (q, _) = Quantizer::fit(dt, input.as_slice(), ClipSearch::default()).unwrap();
+            d.quant.activation = Some(q);
         }
     }
 
     #[test]
-    fn coverage_counts_fallback_layers_in_the_denominator() {
-        // The documented contract: coverage = 1 − fallback/total over ALL
-        // plan layers. The 5-layer MLP (dense, relu, dense, relu, dense)
-        // with one float-typed dense must report exactly 4/5, not 4/4.
+    fn float_typed_layers_run_on_the_integer_gemm() {
+        // Weight and activation both float: the lattice units fold into
+        // the dequant scales, and the 4-bit image stays byte-wide.
+        let (mut model, calib) = quantized_mlp();
+        force_dense_type(&mut model, 2, DataType::float(4, true).unwrap(), true);
+        force_dense_type(&mut model, 2, DataType::float(8, false).unwrap(), false);
+        let mut plan = CompiledPlan::from_quantized(&model).unwrap();
+        assert_eq!(plan.packed_layer_count(), 3);
+        let PlanLayer::Packed(p) = &plan.layers()[2] else {
+            panic!("fc2 is not packed");
+        };
+        assert!(
+            matches!(p.mat.image, WeightImage::I16(_)),
+            "float8 acts need i16"
+        );
+        assert_close(&mut plan, &mut model, &calib);
+    }
+
+    #[test]
+    fn lattice_without_an_i32_image_is_refused() {
+        // pot6u magnitudes reach 2^62: refused by name, never saturated.
         let (mut model, _) = quantized_mlp();
-        let fdt = DataType::float(4, true).unwrap();
-        if let NetLayer::Dense(d) = &mut model.layers_mut()[2] {
-            let (q, _) = TensorQuantizer::fit(
-                fdt,
-                &d.weight().clone(),
-                Granularity::PerChannel,
-                ClipSearch::default(),
-            )
-            .unwrap();
-            d.quant.weight = Some(q);
+        let pot6u = DataType::pot(6, false).unwrap();
+        force_dense_type(&mut model, 2, pot6u, false);
+        match CompiledPlan::from_quantized(&model) {
+            Err(RuntimeError::UnsupportedType { layer, dtype }) => {
+                assert_eq!((layer.as_str(), dtype), ("fc2", pot6u))
+            }
+            other => panic!("expected UnsupportedType, got {other:?}"),
         }
-        let plan = CompiledPlan::from_quantized(&model).unwrap();
-        assert_eq!(plan.layers().len(), 5);
-        assert_eq!(plan.coverage(), 1.0 - 1.0 / 5.0);
     }
 
     #[test]
@@ -3030,7 +2866,7 @@ mod tests {
         let mut model = small_cnn(4, 7);
         let calib = gaussian(&[24, 144], 9);
         quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-        let base = CompiledPlan::from_quantized_strict(&model).unwrap();
+        let base = CompiledPlan::from_quantized(&model).unwrap();
         let x = gaussian(&[6, 144], 29);
         let want = base.clone().with_threads(1).forward(&x).unwrap();
         for threads in [2, 4, 7] {
@@ -3070,6 +2906,8 @@ mod tests {
             DataType::flint(6, true).unwrap(),
             DataType::pot(4, true).unwrap(),
             DataType::pot(4, false).unwrap(),
+            DataType::float(4, true).unwrap(),
+            DataType::float(8, false).unwrap(),
         ] {
             let q = Quantizer::with_scale(dt, 1.0).unwrap();
             let act = ActQuant::for_quantizer(&q);
@@ -3078,7 +2916,8 @@ mod tests {
             let mut v = -1.5 * max;
             let step = max / 97.0;
             while v <= 1.5 * max {
-                assert_eq!(act.apply(v, codec), codec.snap(v) as i32, "{dt}: v={v}");
+                let units = codec.snap(v) / codec.unit();
+                assert_eq!(act.apply(v, codec), units as i32, "{dt}: v={v}");
                 v += step;
             }
         }

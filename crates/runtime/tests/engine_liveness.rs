@@ -45,7 +45,7 @@ fn decoder_plan() -> CompiledPlan {
         5,
     );
     quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-    CompiledPlan::from_quantized_strict(&model)
+    CompiledPlan::from_quantized(&model)
         .unwrap()
         .with_threads(1)
 }

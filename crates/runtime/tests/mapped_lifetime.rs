@@ -55,7 +55,7 @@ fn plan_outlives_the_artifact_handle() {
     let x = gaussian(&[2, 144], 7);
 
     let mapped = MappedArtifact::open(&path).unwrap();
-    let mut plan = mapped.compile_strict().unwrap();
+    let mut plan = mapped.compile().unwrap();
     let before = plan.forward(&x).unwrap();
     drop(mapped);
     // The file can even disappear from the filesystem: the mapping (and
@@ -80,14 +80,14 @@ fn concurrent_plans_share_one_mapping() {
 
     let mapped = MappedArtifact::open(&path).unwrap();
     let x = gaussian(&[3, 32], 17);
-    let mut reference = mapped.compile_strict().unwrap();
+    let mut reference = mapped.compile().unwrap();
     let want: Vec<f32> = reference.forward(&x).unwrap().as_slice().to_vec();
 
     // Eight plans compiled from the same handle, serving on worker
     // threads while the main thread drops the handle mid-flight.
     let mut handles = Vec::new();
     for _ in 0..8 {
-        let mut plan = mapped.compile_strict().unwrap();
+        let mut plan = mapped.compile().unwrap();
         assert!(plan.borrowed_layer_count() > 0, "plans must borrow");
         let x = x.clone();
         let want = want.clone();
@@ -112,7 +112,7 @@ fn concurrent_plans_share_one_mapping() {
 fn child_serve_and_report(path: &str) -> ! {
     let mapped = MappedArtifact::open(path).unwrap();
     assert!(mapped.is_zero_copy(), "child: mapped load copied");
-    let mut plan = mapped.compile_strict().unwrap();
+    let mut plan = mapped.compile().unwrap();
     let x = gaussian(&[2, 144], 7);
     plan.forward(&x).unwrap();
     let dirty = mapping_private_dirty_kb(mapped.mapped_bytes().as_ptr() as usize);
@@ -167,7 +167,7 @@ fn two_processes_share_pages_rss_stays_flat() {
     // Parent serves the mapping...
     let mapped = MappedArtifact::open(&path).unwrap();
     assert!(mapped.is_zero_copy());
-    let mut plan = mapped.compile_strict().unwrap();
+    let mut plan = mapped.compile().unwrap();
     plan.forward(&gaussian(&[2, 144], 7)).unwrap();
     let parent_dirty = mapping_private_dirty_kb(mapped.mapped_bytes().as_ptr() as usize);
 
