@@ -277,7 +277,7 @@ fn quantize_decoder<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<Strin
     let causal = plan
         .layers()
         .iter()
-        .filter(|l| matches!(l, ant_runtime::PlanLayer::PackedCausalAttn(_)))
+        .filter(|l| matches!(l, ant_runtime::PlanLayer::PackedAttn(p) if p.causal()))
         .count();
     let kv_per_token = {
         let session = plan.open_session(DECODER_SEQ)?;

@@ -647,6 +647,10 @@ impl ModelArtifact {
         let mut layers = Vec::with_capacity(self.layers.len());
         for (i, record) in self.layers.iter().enumerate() {
             let entries: &[PanelEntry] = images.map(|im| im[i].as_slice()).unwrap_or(&[]);
+            let first_image = || match entries.first() {
+                Some(PanelEntry::Image(img)) => Some(img.clone()),
+                _ => None,
+            };
             let lowered: Result<PlanLayer, RuntimeError> = match record {
                 LayerRecord::Dense {
                     name,
@@ -654,21 +658,13 @@ impl ModelArtifact {
                     bias,
                     act,
                 } => act.quantizer().map(|aq| {
-                    match entries.first() {
-                        Some(PanelEntry::Image(img)) => PackedLinear::from_parts_with_image(
-                            name.clone(),
-                            weight.codes.clone(),
-                            bias.clone(),
-                            aq,
-                            img.clone(),
-                        ),
-                        _ => PackedLinear::from_parts(
-                            name.clone(),
-                            weight.codes.clone(),
-                            bias.clone(),
-                            aq,
-                        ),
-                    }
+                    PackedLinear::from_parts(
+                        name.clone(),
+                        weight.codes.clone(),
+                        bias.clone(),
+                        aq,
+                        first_image(),
+                    )
                     .map(|p| PlanLayer::Packed(Box::new(p)))
                 })?,
                 LayerRecord::Conv {
@@ -679,25 +675,15 @@ impl ModelArtifact {
                     bias,
                     act,
                 } => act.quantizer().map(|aq| {
-                    match entries.first() {
-                        Some(PanelEntry::Image(img)) => PackedConv::from_parts_with_image(
-                            name.clone(),
-                            weight.codes.clone(),
-                            bias.clone(),
-                            aq,
-                            *in_shape,
-                            *geo,
-                            img.clone(),
-                        ),
-                        _ => PackedConv::from_parts(
-                            name.clone(),
-                            weight.codes.clone(),
-                            bias.clone(),
-                            aq,
-                            *in_shape,
-                            *geo,
-                        ),
-                    }
+                    PackedConv::from_parts(
+                        name.clone(),
+                        weight.codes.clone(),
+                        bias.clone(),
+                        aq,
+                        *in_shape,
+                        *geo,
+                        first_image(),
+                    )
                     .map(|p| PlanLayer::PackedConv(Box::new(p)))
                 })?,
                 LayerRecord::Attn {
@@ -714,28 +700,15 @@ impl ModelArtifact {
                         weights[2].codes.clone(),
                         weights[3].codes.clone(),
                     ];
-                    match entries {
+                    let prebuilt = match entries {
                         [PanelEntry::Image(q), PanelEntry::Image(k), PanelEntry::Image(v), PanelEntry::Image(o), PanelEntry::WoT(wo_t)] => {
-                            PackedAttn::from_parts_with_images(
-                                name.clone(),
-                                *seq,
-                                *dim,
-                                projections,
-                                aq,
-                                [q.clone(), k.clone(), v.clone(), o.clone()],
-                                wo_t.clone(),
-                            )
+                            Some(([q.clone(), k.clone(), v.clone(), o.clone()], wo_t.clone()))
                         }
-                        _ => PackedAttn::from_parts(name.clone(), *seq, *dim, projections, aq),
-                    }
-                    .and_then(|p| {
-                        if *causal {
-                            p.into_causal(KvQuantSpec::default())
-                                .map(|p| PlanLayer::PackedCausalAttn(Box::new(p)))
-                        } else {
-                            Ok(PlanLayer::PackedAttn(Box::new(p)))
-                        }
-                    })
+                        _ => None,
+                    };
+                    let kv = causal.then(KvQuantSpec::default);
+                    PackedAttn::from_parts(name.clone(), *seq, *dim, projections, aq, prebuilt, kv)
+                        .map(|p| PlanLayer::PackedAttn(Box::new(p)))
                 })?,
                 LayerRecord::Relu { .. } => Ok(PlanLayer::Relu),
                 LayerRecord::Gelu { .. } => Ok(PlanLayer::Gelu),

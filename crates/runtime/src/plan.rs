@@ -711,31 +711,11 @@ pub struct PackedLinear {
 }
 
 impl PackedLinear {
-    /// Builds the layer directly from saved wire codes (artifact reload
-    /// path): `weights` must be a `[out, in]`-shaped pack and `bias` a
-    /// length-`out` vector.
+    /// Builds the layer from wire codes: `weights` must be a
+    /// `[out, in]`-shaped pack and `bias` a length-`out` vector. `image`
+    /// is a pre-built weight image (borrowed from a mapped v2 artifact);
+    /// `None` decodes one from the codes.
     pub(crate) fn from_parts(
-        name: String,
-        weights: PackedTensor,
-        bias: Vec<f32>,
-        act: Quantizer,
-    ) -> Result<Self, RuntimeError> {
-        Self::build(name, weights, bias, act, None)
-    }
-
-    /// Like [`Self::from_parts`], but with a pre-built weight image
-    /// (borrowed from a mapped v2 artifact) instead of decoding one.
-    pub(crate) fn from_parts_with_image(
-        name: String,
-        weights: PackedTensor,
-        bias: Vec<f32>,
-        act: Quantizer,
-        image: WeightImage,
-    ) -> Result<Self, RuntimeError> {
-        Self::build(name, weights, bias, act, Some(image))
-    }
-
-    fn build(
         name: String,
         weights: PackedTensor,
         bias: Vec<f32>,
@@ -837,35 +817,11 @@ pub struct PackedConv {
 }
 
 impl PackedConv {
-    /// Builds the convolution directly from saved wire codes (artifact
-    /// reload path): `weights` must be a `[co, ci, kh, kw]`-shaped pack
-    /// consistent with `in_shape` and `geo`.
+    /// Builds the convolution from wire codes: `weights` must be a
+    /// `[co, ci, kh, kw]`-shaped pack consistent with `in_shape` and
+    /// `geo`. `image` is a pre-built weight image (borrowed from a mapped
+    /// v2 artifact); `None` decodes one from the codes.
     pub(crate) fn from_parts(
-        name: String,
-        weights: PackedTensor,
-        bias: Vec<f32>,
-        act: Quantizer,
-        in_shape: (usize, usize, usize),
-        geo: Conv2dGeometry,
-    ) -> Result<Self, RuntimeError> {
-        Self::build(name, weights, bias, act, in_shape, geo, None)
-    }
-
-    /// Like [`Self::from_parts`], but with a pre-built weight image
-    /// (borrowed from a mapped v2 artifact) instead of decoding one.
-    pub(crate) fn from_parts_with_image(
-        name: String,
-        weights: PackedTensor,
-        bias: Vec<f32>,
-        act: Quantizer,
-        in_shape: (usize, usize, usize),
-        geo: Conv2dGeometry,
-        image: WeightImage,
-    ) -> Result<Self, RuntimeError> {
-        Self::build(name, weights, bias, act, in_shape, geo, Some(image))
-    }
-
-    fn build(
         name: String,
         weights: PackedTensor,
         bias: Vec<f32>,
@@ -973,6 +929,29 @@ impl PackedConv {
         c * h * w
     }
 
+    /// Quantizes a `[batch, ci·h·w]` slice into `acts` and lowers every
+    /// sample's receptive fields into `rows` (`[batch·oh·ow, ci·kh·kw]`),
+    /// both directly at operand width `T`.
+    fn lower<'r, T: ActInt + Default>(
+        &self,
+        x: &[f32],
+        batch: usize,
+        acts: &mut Vec<T>,
+        rows: &'r mut Vec<T>,
+    ) -> &'r [T] {
+        let (ci, h, w) = self.in_shape;
+        let (feat, k) = (self.in_features(), self.mat.inp);
+        let pixels = self.out_shape.1 * self.out_shape.2;
+        self.act_quant
+            .apply_all_into(x, self.act.scale(), self.act.codec(), acts);
+        let rows = grab(rows, batch * pixels * k, T::default());
+        for s in 0..batch {
+            let dst = &mut rows[s * pixels * k..(s + 1) * pixels * k];
+            im2row(&acts[s * feat..(s + 1) * feat], ci, h, w, self.geo, dst);
+        }
+        rows
+    }
+
     /// Executes the convolution on a `[batch, ci·h·w]` slice entirely in
     /// the integer domain: quantize → im2row → integer GEMM → dequantize,
     /// all at the layer's operand width.
@@ -983,71 +962,27 @@ impl PackedConv {
         ws: &mut LayerScratch<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(), RuntimeError> {
-        let feat = self.in_features();
-        check_features(x, batch, feat)?;
-        let (ci, h, w) = self.in_shape;
+        check_features(x, batch, self.in_features())?;
         let (co, oh, ow) = self.out_shape;
         let (k, pixels) = (self.mat.inp, oh * ow);
-        let s_a = self.act.scale();
-        let codec = self.act.codec();
         // One big GEMM over every output pixel of every sample: rows are
         // receptive fields, so weight panels stream once per row tile.
-        // Quantization and the im2row lowering happen directly at the
-        // layer's operand width.
         let m = batch * pixels;
-        let acc = match &self.mat.image {
+        let acc = grab(ws.acc, m * co, 0);
+        match &self.mat.image {
             WeightImage::I8(pg) => {
-                self.act_quant.apply_all_into(x, s_a, codec, ws.act_i8);
-                let rows = grab(ws.rows_i8, m * k, 0);
-                for s in 0..batch {
-                    im2row(
-                        &ws.act_i8[s * feat..(s + 1) * feat],
-                        ci,
-                        h,
-                        w,
-                        self.geo,
-                        &mut rows[s * pixels * k..(s + 1) * pixels * k],
-                    );
-                }
-                let acc = grab(ws.acc, m * co, 0);
+                let rows = self.lower(x, batch, ws.act_i8, ws.rows_i8);
                 pg.matmul(rows, m, acc, ws.pool, ws.threads);
-                acc
             }
             WeightImage::I16(pg) => {
-                self.act_quant.apply_all_into(x, s_a, codec, ws.act_i16);
-                let rows = grab(ws.rows_i16, m * k, 0);
-                for s in 0..batch {
-                    im2row(
-                        &ws.act_i16[s * feat..(s + 1) * feat],
-                        ci,
-                        h,
-                        w,
-                        self.geo,
-                        &mut rows[s * pixels * k..(s + 1) * pixels * k],
-                    );
-                }
-                let acc = grab(ws.acc, m * co, 0);
+                let rows = self.lower(x, batch, ws.act_i16, ws.rows_i16);
                 pg.matmul(rows, m, acc, ws.pool, ws.threads);
-                acc
             }
             WeightImage::I32(w_rows) => {
-                self.act_quant.apply_all_into(x, s_a, codec, ws.act_i32);
-                let rows = grab(ws.rows_i32, m * k, 0);
-                for s in 0..batch {
-                    im2row(
-                        &ws.act_i32[s * feat..(s + 1) * feat],
-                        ci,
-                        h,
-                        w,
-                        self.geo,
-                        &mut rows[s * pixels * k..(s + 1) * pixels * k],
-                    );
-                }
-                let acc = grab(ws.acc, m * co, 0);
+                let rows = self.lower(x, batch, ws.act_i32, ws.rows_i32);
                 int_gemm_pooled(rows, w_rows, m, k, co, acc, ws.pool, ws.threads);
-                acc
             }
-        };
+        }
         let acc = &*acc;
         // Dequantize + bias, scattering [batch·pixels, co] straight into
         // the [batch, co·oh·ow] layout: channel-outer so writes are
@@ -1075,6 +1010,14 @@ impl PackedConv {
 /// output projection runs as a mixed-domain GEMM — f32 context against
 /// the LUT-decoded weights, scale applied per output channel at the
 /// boundary — so all four projection weights live as packed wire codes.
+///
+/// Causality is a property of the block ([`Self::causal`]), not a
+/// separate kind of layer: a causal (decoder-style) block carries a
+/// KV-cache group codec, masks future tokens, takes its sequence length
+/// from the input, and supports incremental decode against a packed
+/// per-session KV cache ([`CompiledPlan::open_session`]). The full
+/// forward, prefill and a decode step share one Q/K/V projection and
+/// one output projection.
 #[derive(Debug, Clone)]
 pub struct PackedAttn {
     name: String,
@@ -1096,47 +1039,24 @@ pub struct PackedAttn {
     act: Quantizer,
     act_quant: ActQuant,
     /// The KV-cache group codec — `Some` iff this is a causal
-    /// (decoder-style) block, which masks future tokens in the
-    /// full-sequence forward and supports incremental decode against a
-    /// packed [`KvCache`]. Encoder blocks never touch it.
+    /// (decoder-style) block. Encoder blocks never touch it.
     kv: Option<KvQuant>,
 }
 
 impl PackedAttn {
-    /// Builds the attention block directly from saved wire codes (artifact
-    /// reload path): each projection must be a `[dim, dim]`-shaped pack.
+    /// Builds the attention block from wire codes: each projection must
+    /// be a `[dim, dim]`-shaped pack. `prebuilt` carries pre-built q/k/v/o
+    /// weight images and the transposed f32 o-operand (borrowed from a
+    /// mapped v2 artifact); `None` decodes them from the codes. `kv`
+    /// makes the block causal, with that KV-cache quantization spec.
     pub(crate) fn from_parts(
         name: String,
         seq: usize,
         dim: usize,
         projections: [PackedTensor; 4],
         act: Quantizer,
-    ) -> Result<Self, RuntimeError> {
-        Self::build(name, seq, dim, projections, act, None)
-    }
-
-    /// Like [`Self::from_parts`], but with pre-built q/k/v/o weight
-    /// images and the transposed f32 o-projection operand (all borrowed
-    /// from a mapped v2 artifact) instead of decoding them.
-    pub(crate) fn from_parts_with_images(
-        name: String,
-        seq: usize,
-        dim: usize,
-        projections: [PackedTensor; 4],
-        act: Quantizer,
-        images: [WeightImage; 4],
-        wo_t: PackedStore<f32>,
-    ) -> Result<Self, RuntimeError> {
-        Self::build(name, seq, dim, projections, act, Some((images, wo_t)))
-    }
-
-    fn build(
-        name: String,
-        seq: usize,
-        dim: usize,
-        projections: [PackedTensor; 4],
-        act: Quantizer,
         prebuilt: Option<([WeightImage; 4], PackedStore<f32>)>,
+        kv: Option<KvQuantSpec>,
     ) -> Result<Self, RuntimeError> {
         for p in &projections {
             if p.dims() != [dim, dim] {
@@ -1182,15 +1102,8 @@ impl PackedAttn {
             wo_t_f32,
             act_quant: ActQuant::for_quantizer(&act),
             act,
-            kv: None,
+            kv: kv.map(KvQuant::new).transpose()?,
         })
-    }
-
-    /// Converts this block into its causal (decoder) form, attaching the
-    /// KV-cache group codec for `spec`.
-    pub(crate) fn into_causal(mut self, spec: KvQuantSpec) -> Result<Self, RuntimeError> {
-        self.kv = Some(KvQuant::new(spec)?);
-        Ok(self)
     }
 
     /// Whether this block masks future tokens (decoder-style).
@@ -1203,21 +1116,13 @@ impl PackedAttn {
         self.kv.as_ref().map(|k| k.spec())
     }
 
-    fn kv_codec(&self) -> Result<&KvQuant, RuntimeError> {
-        self.kv
-            .as_ref()
-            .ok_or_else(|| RuntimeError::UnsupportedLayer {
-                layer: self.name.clone(),
-                reason: "causal execution of a block with no KV codec".to_string(),
-            })
-    }
-
     /// Layer name.
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// Sequence length.
+    /// Sequence length (the compiled length; a causal block takes its
+    /// length from each input instead).
     pub fn seq(&self) -> usize {
         self.seq
     }
@@ -1260,161 +1165,17 @@ impl PackedAttn {
     /// Executes `Y = X̂ + softmax(QKᵀ/√d) V Woᵀ` on a `[batch, seq·dim]`
     /// slice, where `X̂` is the quantized input and Q/K/V come from integer
     /// GEMMs over its lattice codes.
-    fn forward_rows(
-        &self,
-        x: &[f32],
-        batch: usize,
-        ws: &mut LayerScratch<'_>,
-        out: &mut Vec<f32>,
-    ) -> Result<(), RuntimeError> {
-        let feat = self.in_features();
-        check_features(x, batch, feat)?;
-        let (seq, dim) = (self.seq, self.dim);
-        let s_a = self.act.scale();
-        let s_res = unit_scale(&self.act);
-        // One i32 master quantization serves all projections (which may
-        // sit at different operand widths) and the residual below. It is
-        // taken out of the arena for the duration of the call so the
-        // remaining scratch stays independently borrowable; the swap is
-        // pointer-sized, not a copy.
-        self.act_quant
-            .apply_all_into(x, s_a, self.act.codec(), ws.act_i32);
-        let master = std::mem::take(ws.act_i32);
-        let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
-        // Q/K/V are purely row-wise, so the whole batch projects through
-        // three batch-wide integer GEMMs ([batch·seq, dim] each) — the
-        // coalescing the engine batches requests for — instead of 3·batch
-        // per-sample ones.
-        let rows = batch * seq;
-        // Narrow the master once per operand width any projection needs
-        // (in the common case all three share one width: one pass).
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I8(_)))
-        {
-            narrow_acts(&master, ws.act_i8);
-        }
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I16(_)))
-        {
-            narrow_acts(&master, ws.act_i16);
-        }
-        for which in 0..3 {
-            let proj = &self.projs[which];
-            let acc = proj.accumulate_master(
-                &master, rows, ws.pool, ws.threads, ws.act_i8, ws.act_i16, ws.acc,
-            );
-            let acc = &*acc;
-            let dst = match which {
-                0 => &mut *ws.q,
-                1 => &mut *ws.k,
-                _ => &mut *ws.v,
-            };
-            let dst = grab(dst, rows * dim, 0.0);
-            dequant_into(acc, rows, &self.deq_qkv[which], None, dst);
-        }
-        // Scores, softmax and context in f32 — the decode boundary.
-        // Attention mixes tokens only within a sample, so this
-        // parallelizes over samples: each chunk of samples owns one
-        // scores slice and writes disjoint context rows.
-        let ctx_len = rows * dim;
-        let chunks = ws.threads.min(ws.pool.width()).min(batch).max(1);
-        let samples_per = batch.div_ceil(chunks);
-        grab(ws.ctx, ctx_len, 0.0);
-        grab(ws.scores, chunks * seq * seq, 0.0);
-        let (q, k, v) = (&*ws.q, &*ws.k, &*ws.v);
-        let ctx_ptr = ShareMut(ws.ctx.as_mut_ptr());
-        let scores_ptr = ShareMut(ws.scores.as_mut_ptr());
-        ws.pool.run(chunks, &|chunk| {
-            let (ctx_dst, scores_dst) = (ctx_ptr, scores_ptr);
-            // SAFETY: each chunk touches its own scores slice and the
-            // context rows of its own samples — disjoint regions.
-            let a = unsafe {
-                std::slice::from_raw_parts_mut(scores_dst.0.add(chunk * seq * seq), seq * seq)
-            };
-            let lo = chunk * samples_per;
-            let hi = ((chunk + 1) * samples_per).min(batch);
-            for s in lo..hi {
-                let qs = &q[s * feat..(s + 1) * feat];
-                let ks = &k[s * feat..(s + 1) * feat];
-                for i in 0..seq {
-                    for j in 0..seq {
-                        let mut dot = 0f32;
-                        for d in 0..dim {
-                            dot += qs[i * dim + d] * ks[j * dim + d];
-                        }
-                        a[i * seq + j] = dot * inv_sqrt_d;
-                    }
-                }
-                softmax_rows_in_place(a, seq, seq);
-                let vs = &v[s * feat..(s + 1) * feat];
-                let cs = unsafe { std::slice::from_raw_parts_mut(ctx_dst.0.add(s * feat), feat) };
-                cs.fill(0.0);
-                for i in 0..seq {
-                    for j in 0..seq {
-                        let aij = a[i * seq + j];
-                        for d in 0..dim {
-                            cs[i * dim + d] += aij * vs[j * dim + d];
-                        }
-                    }
-                }
-            }
-        });
-        // Output projection, batch-wide: mixed-domain GEMM of the f32
-        // context against the decoded lattice weights, scale at the
-        // boundary, plus the residual on the quantized input —
-        // parallelized over output rows. Output-major against the
-        // transposed weights: each output's reduction still sums in
-        // ascending `d` (bit-identical to the row-major dot), but the
-        // inner loop is a broadcast-multiply-add stream over outputs the
-        // autovectorizer handles.
-        let ov = grab(out, batch * feat, 0.0);
-        let (ctx, a32, wo_t) = (&*ws.ctx, &master[..], &self.wo_t_f32);
-        let w_scales = &self.projs[3].w_scales;
-        let out_ptr = ShareMut(ov.as_mut_ptr());
-        let row_tasks = if rows * dim * dim >= 1 << 18 {
-            ws.threads.min(ws.pool.width()).min(rows).max(1)
-        } else {
-            1
-        };
-        let rows_per = rows.div_ceil(row_tasks);
-        ws.pool.run(row_tasks, &|t| {
-            let dst = out_ptr;
-            let lo = t * rows_per;
-            let hi = ((t + 1) * rows_per).min(rows);
-            for r in lo..hi {
-                // SAFETY: tasks own disjoint output rows.
-                let row_out = unsafe { std::slice::from_raw_parts_mut(dst.0.add(r * dim), dim) };
-                row_out.fill(0.0);
-                for d in 0..dim {
-                    let c = ctx[r * dim + d];
-                    let w_row = &wo_t[d * dim..(d + 1) * dim];
-                    for (o, out_val) in row_out.iter_mut().enumerate() {
-                        *out_val += c * w_row[o];
-                    }
-                }
-                for (o, out_val) in row_out.iter_mut().enumerate() {
-                    *out_val = a32[r * dim + o] as f32 * s_res + *out_val * w_scales[o];
-                }
-            }
-        });
-        // Hand the master buffer (and its capacity) back to the arena.
-        *ws.act_i32 = master;
-        Ok(())
-    }
-
-    /// Full-sequence **causal** forward: like [`Self::forward_rows`] but
-    /// sequence-length-polymorphic (`seq` derives from the input, so one
-    /// plan serves any prompt length), masking `j > i` in the scores, and
-    /// quantize-dequantizing every K/V token row through the M-ANT group
+    ///
+    /// A causal block takes `seq` from the input (one plan serves any
+    /// prompt length), masks `j > i` in the scores, and
+    /// quantize-dequantizes every K/V token row through the M-ANT group
     /// codec — exactly the values an incremental decode later streams
     /// back out of its [`KvCache`]. When `sink` is supplied (the prefill
     /// path; `batch` must be 1), the quantized rows are also appended to
     /// the cache and the attention consumes them as decoded *from the
-    /// cache*, keeping prefill bit-identical to the cache-less reference
-    /// forward by construction.
-    fn forward_rows_causal(
+    /// cache*, keeping prefill bit-identical to the cache-less forward by
+    /// construction.
+    fn forward_rows(
         &self,
         x: &[f32],
         batch: usize,
@@ -1423,62 +1184,34 @@ impl PackedAttn {
         sink: Option<&mut KvCache>,
     ) -> Result<(), RuntimeError> {
         let dim = self.dim;
-        let features = x.len() / batch.max(1);
-        if batch == 0
-            || !x.len().is_multiple_of(batch)
-            || features == 0
-            || !features.is_multiple_of(dim)
-        {
-            return Err(RuntimeError::ShapeMismatch {
-                expected: dim,
-                actual: features,
-            });
-        }
-        let seq = features / dim;
-        let feat = features;
+        let seq = if self.causal() {
+            let features = x.len() / batch.max(1);
+            if batch == 0
+                || !x.len().is_multiple_of(batch)
+                || features == 0
+                || !features.is_multiple_of(dim)
+            {
+                return Err(RuntimeError::ShapeMismatch {
+                    expected: dim,
+                    actual: features,
+                });
+            }
+            features / dim
+        } else {
+            check_features(x, batch, self.in_features())?;
+            self.seq
+        };
         debug_assert!(
-            sink.is_none() || batch == 1,
-            "prefill sinks are per-session"
+            sink.is_none() || (batch == 1 && self.causal()),
+            "prefill sinks are per-session, on causal blocks"
         );
-        let kvq = self.kv_codec()?;
-        let s_a = self.act.scale();
-        let s_res = unit_scale(&self.act);
-        self.act_quant
-            .apply_all_into(x, s_a, self.act.codec(), ws.act_i32);
-        let master = std::mem::take(ws.act_i32);
-        let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
         let rows = batch * seq;
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I8(_)))
-        {
-            narrow_acts(&master, ws.act_i8);
-        }
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I16(_)))
-        {
-            narrow_acts(&master, ws.act_i16);
-        }
-        for which in 0..3 {
-            let proj = &self.projs[which];
-            let acc = proj.accumulate_master(
-                &master, rows, ws.pool, ws.threads, ws.act_i8, ws.act_i16, ws.acc,
-            );
-            let acc = &*acc;
-            let dst = match which {
-                0 => &mut *ws.q,
-                1 => &mut *ws.k,
-                _ => &mut *ws.v,
-            };
-            let dst = grab(dst, rows * dim, 0.0);
-            dequant_into(acc, rows, &self.deq_qkv[which], None, dst);
-        }
+        let master = self.project_qkv(x, rows, ws);
         // Move K and V into the quantized KV domain row by row — in
         // place when free-running, through the cache when prefilling
         // (bitwise identical: one shared group-encode path).
-        match sink {
-            Some(cache) => {
+        match (&self.kv, sink) {
+            (Some(kvq), Some(cache)) => {
                 let base = cache.tokens();
                 for r in 0..rows {
                     let kr = &ws.k[r * dim..(r + 1) * dim];
@@ -1486,99 +1219,21 @@ impl PackedAttn {
                     cache.append(kvq, kr, vr, ws.kv_codes)?;
                 }
                 for r in 0..rows {
-                    cache.decode_row(kvq, KvHalf::K, base + r, &mut ws.k[r * dim..(r + 1) * dim]);
-                    cache.decode_row(kvq, KvHalf::V, base + r, &mut ws.v[r * dim..(r + 1) * dim]);
+                    let span = r * dim..(r + 1) * dim;
+                    cache.decode_row(kvq, KvHalf::K, base + r, &mut ws.k[span.clone()]);
+                    cache.decode_row(kvq, KvHalf::V, base + r, &mut ws.v[span]);
                 }
             }
-            None => {
+            (Some(kvq), None) => {
                 for r in 0..rows {
                     kvq.quant_dequant_row(&mut ws.k[r * dim..(r + 1) * dim], ws.kv_codes);
                     kvq.quant_dequant_row(&mut ws.v[r * dim..(r + 1) * dim], ws.kv_codes);
                 }
             }
+            (None, _) => {}
         }
-        // Masked scores, softmax and context — the structure of the
-        // encoder path with future positions pinned to -inf (their
-        // softmax weight is exactly 0.0, so the context reduction is
-        // bitwise the prefix-only reduction decode performs).
-        let ctx_len = rows * dim;
-        let chunks = ws.threads.min(ws.pool.width()).min(batch).max(1);
-        let samples_per = batch.div_ceil(chunks);
-        grab(ws.ctx, ctx_len, 0.0);
-        grab(ws.scores, chunks * seq * seq, 0.0);
-        let (q, k, v) = (&*ws.q, &*ws.k, &*ws.v);
-        let ctx_ptr = ShareMut(ws.ctx.as_mut_ptr());
-        let scores_ptr = ShareMut(ws.scores.as_mut_ptr());
-        ws.pool.run(chunks, &|chunk| {
-            let (ctx_dst, scores_dst) = (ctx_ptr, scores_ptr);
-            // SAFETY: each chunk touches its own scores slice and the
-            // context rows of its own samples — disjoint regions.
-            let a = unsafe {
-                std::slice::from_raw_parts_mut(scores_dst.0.add(chunk * seq * seq), seq * seq)
-            };
-            let lo = chunk * samples_per;
-            let hi = ((chunk + 1) * samples_per).min(batch);
-            for s in lo..hi {
-                let qs = &q[s * feat..(s + 1) * feat];
-                let ks = &k[s * feat..(s + 1) * feat];
-                for i in 0..seq {
-                    for j in 0..=i {
-                        let mut dot = 0f32;
-                        for d in 0..dim {
-                            dot += qs[i * dim + d] * ks[j * dim + d];
-                        }
-                        a[i * seq + j] = dot * inv_sqrt_d;
-                    }
-                    for j in (i + 1)..seq {
-                        a[i * seq + j] = f32::NEG_INFINITY;
-                    }
-                }
-                softmax_rows_in_place(a, seq, seq);
-                let vs = &v[s * feat..(s + 1) * feat];
-                let cs = unsafe { std::slice::from_raw_parts_mut(ctx_dst.0.add(s * feat), feat) };
-                cs.fill(0.0);
-                for i in 0..seq {
-                    for j in 0..seq {
-                        let aij = a[i * seq + j];
-                        for d in 0..dim {
-                            cs[i * dim + d] += aij * vs[j * dim + d];
-                        }
-                    }
-                }
-            }
-        });
-        // Output projection + residual, identical to the encoder path.
-        let ov = grab(out, batch * feat, 0.0);
-        let (ctx, a32, wo_t) = (&*ws.ctx, &master[..], &self.wo_t_f32);
-        let w_scales = &self.projs[3].w_scales;
-        let out_ptr = ShareMut(ov.as_mut_ptr());
-        let row_tasks = if rows * dim * dim >= 1 << 18 {
-            ws.threads.min(ws.pool.width()).min(rows).max(1)
-        } else {
-            1
-        };
-        let rows_per = rows.div_ceil(row_tasks);
-        ws.pool.run(row_tasks, &|t| {
-            let dst = out_ptr;
-            let lo = t * rows_per;
-            let hi = ((t + 1) * rows_per).min(rows);
-            for r in lo..hi {
-                // SAFETY: tasks own disjoint output rows.
-                let row_out = unsafe { std::slice::from_raw_parts_mut(dst.0.add(r * dim), dim) };
-                row_out.fill(0.0);
-                for d in 0..dim {
-                    let c = ctx[r * dim + d];
-                    let w_row = &wo_t[d * dim..(d + 1) * dim];
-                    for (o, out_val) in row_out.iter_mut().enumerate() {
-                        *out_val += c * w_row[o];
-                    }
-                }
-                for (o, out_val) in row_out.iter_mut().enumerate() {
-                    *out_val = a32[r * dim + o] as f32 * s_res + *out_val * w_scales[o];
-                }
-            }
-        });
-        *ws.act_i32 = master;
+        self.attend(batch, seq, ws);
+        self.project_out(master, rows, ws, out);
         Ok(())
     }
 
@@ -1602,42 +1257,14 @@ impl PackedAttn {
         ws: &mut LayerScratch<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(), RuntimeError> {
+        let Some(kvq) = &self.kv else {
+            return Err(not_token_local_err());
+        };
         let dim = self.dim;
         let rows = sessions.len();
         check_features(x, rows, dim)?;
-        let kvq = self.kv_codec()?;
-        let s_a = self.act.scale();
-        let s_res = unit_scale(&self.act);
-        self.act_quant
-            .apply_all_into(x, s_a, self.act.codec(), ws.act_i32);
-        let master = std::mem::take(ws.act_i32);
+        let master = self.project_qkv(x, rows, ws);
         let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I8(_)))
-        {
-            narrow_acts(&master, ws.act_i8);
-        }
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I16(_)))
-        {
-            narrow_acts(&master, ws.act_i16);
-        }
-        for which in 0..3 {
-            let proj = &self.projs[which];
-            let acc = proj.accumulate_master(
-                &master, rows, ws.pool, ws.threads, ws.act_i8, ws.act_i16, ws.acc,
-            );
-            let acc = &*acc;
-            let dst = match which {
-                0 => &mut *ws.q,
-                1 => &mut *ws.k,
-                _ => &mut *ws.v,
-            };
-            let dst = grab(dst, rows * dim, 0.0);
-            dequant_into(acc, rows, &self.deq_qkv[which], None, dst);
-        }
         // Fixed-stride score scratch — the largest capacity any session
         // in the batch can reach — so steady-state grabs never resize.
         let stride = sessions
@@ -1650,14 +1277,7 @@ impl PackedAttn {
         grab(ws.scores, stride, 0.0);
         grab(ws.kv_row, dim, 0.0);
         for (si, sess) in sessions.iter_mut().enumerate() {
-            let cache =
-                sess.caches
-                    .get_mut(cache_ix)
-                    .ok_or_else(|| RuntimeError::UnsupportedLayer {
-                        layer: self.name.clone(),
-                        reason: "decode session does not match this plan's causal layers"
-                            .to_string(),
-                    })?;
+            let cache = session_cache(sess, cache_ix, &self.name)?;
             let kr = &ws.k[si * dim..(si + 1) * dim];
             let vr = &ws.v[si * dim..(si + 1) * dim];
             cache.append(kvq, kr, vr, ws.kv_codes)?;
@@ -1683,28 +1303,161 @@ impl PackedAttn {
                 }
             }
         }
-        // Output projection + residual — the same output-major,
-        // ascending-`d` loop as the full forward, serial (decode rows
-        // are few and small).
+        self.project_out(master, rows, ws, out);
+        Ok(())
+    }
+
+    /// Projects `rows` token rows of `x` to Q, K and V in `ws.q`,
+    /// `ws.k` and `ws.v`. One `i32` master quantization serves all
+    /// three projections (which may sit at different operand widths) and
+    /// the residual; it is narrowed once per width any projection needs
+    /// (in the common case all three share one: one pass). Q/K/V are
+    /// purely row-wise, so a whole batch projects through three
+    /// batch-wide integer GEMMs — the coalescing the engine batches
+    /// requests for.
+    ///
+    /// Returns the master, taken out of the arena so the rest of the
+    /// scratch stays independently borrowable (the swap is pointer-sized,
+    /// not a copy); [`Self::project_out`] hands it back.
+    fn project_qkv(&self, x: &[f32], rows: usize, ws: &mut LayerScratch<'_>) -> Vec<i32> {
+        self.act_quant
+            .apply_all_into(x, self.act.scale(), self.act.codec(), ws.act_i32);
+        let master = std::mem::take(ws.act_i32);
+        let qkv = &self.projs[..3];
+        if qkv.iter().any(|p| matches!(p.image, WeightImage::I8(_))) {
+            narrow_acts(&master, ws.act_i8);
+        }
+        if qkv.iter().any(|p| matches!(p.image, WeightImage::I16(_))) {
+            narrow_acts(&master, ws.act_i16);
+        }
+        for (which, proj) in qkv.iter().enumerate() {
+            let acc = proj.accumulate_master(
+                &master, rows, ws.pool, ws.threads, ws.act_i8, ws.act_i16, ws.acc,
+            );
+            let acc = &*acc;
+            let dst = match which {
+                0 => &mut *ws.q,
+                1 => &mut *ws.k,
+                _ => &mut *ws.v,
+            };
+            let dst = grab(dst, rows * self.dim, 0.0);
+            dequant_into(acc, rows, &self.deq_qkv[which], None, dst);
+        }
+        master
+    }
+
+    /// Scores, softmax and context in f32 — the decode boundary — for
+    /// `batch` samples of `seq` tokens, from `ws.q`/`ws.k`/`ws.v` into
+    /// `ws.ctx`. A causal block computes `j ≤ i` and pins the remaining
+    /// positions to -inf (their softmax weight is exactly 0.0, so the
+    /// context reduction is bitwise the prefix-only reduction decode
+    /// performs); an encoder block computes every position. Attention
+    /// mixes tokens only within a sample, so this parallelizes over
+    /// samples: each chunk of samples owns one scores slice and writes
+    /// disjoint context rows.
+    fn attend(&self, batch: usize, seq: usize, ws: &mut LayerScratch<'_>) {
+        let (dim, feat) = (self.dim, seq * self.dim);
+        let causal = self.causal();
+        let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
+        let chunks = ws.threads.min(ws.pool.width()).min(batch).max(1);
+        let samples_per = batch.div_ceil(chunks);
+        grab(ws.ctx, batch * feat, 0.0);
+        grab(ws.scores, chunks * seq * seq, 0.0);
+        let (q, k, v) = (&*ws.q, &*ws.k, &*ws.v);
+        let ctx_ptr = ShareMut(ws.ctx.as_mut_ptr());
+        let scores_ptr = ShareMut(ws.scores.as_mut_ptr());
+        ws.pool.run(chunks, &|chunk| {
+            let (ctx_dst, scores_dst) = (ctx_ptr, scores_ptr);
+            // SAFETY: each chunk touches its own scores slice and the
+            // context rows of its own samples — disjoint regions.
+            let a = unsafe {
+                std::slice::from_raw_parts_mut(scores_dst.0.add(chunk * seq * seq), seq * seq)
+            };
+            let lo = chunk * samples_per;
+            let hi = ((chunk + 1) * samples_per).min(batch);
+            for s in lo..hi {
+                let qs = &q[s * feat..(s + 1) * feat];
+                let ks = &k[s * feat..(s + 1) * feat];
+                for i in 0..seq {
+                    let visible = if causal { i + 1 } else { seq };
+                    let a_row = &mut a[i * seq..(i + 1) * seq];
+                    for (j, aij) in a_row[..visible].iter_mut().enumerate() {
+                        let mut dot = 0f32;
+                        for d in 0..dim {
+                            dot += qs[i * dim + d] * ks[j * dim + d];
+                        }
+                        *aij = dot * inv_sqrt_d;
+                    }
+                    a_row[visible..].fill(f32::NEG_INFINITY);
+                }
+                softmax_rows_in_place(a, seq, seq);
+                let vs = &v[s * feat..(s + 1) * feat];
+                // SAFETY: sample `s` belongs to this chunk alone, and
+                // `ws.ctx` holds `batch · feat` elements.
+                let cs = unsafe { std::slice::from_raw_parts_mut(ctx_dst.0.add(s * feat), feat) };
+                cs.fill(0.0);
+                for i in 0..seq {
+                    for j in 0..seq {
+                        let aij = a[i * seq + j];
+                        for d in 0..dim {
+                            cs[i * dim + d] += aij * vs[j * dim + d];
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Output projection plus residual over `rows` context rows of
+    /// `ws.ctx`, into `out`: a mixed-domain GEMM of the f32 context
+    /// against the decoded lattice weights, scale at the boundary, plus
+    /// the residual on the quantized input `master` — parallelized over
+    /// output rows once the product is large enough to pay for it.
+    /// Output-major against the transposed weights: each output's
+    /// reduction still sums in ascending `d` (bit-identical to the
+    /// row-major dot), but the inner loop is a broadcast-multiply-add
+    /// stream over outputs the autovectorizer handles. Hands `master`
+    /// (and its capacity) back to the arena.
+    fn project_out(
+        &self,
+        master: Vec<i32>,
+        rows: usize,
+        ws: &mut LayerScratch<'_>,
+        out: &mut Vec<f32>,
+    ) {
+        let dim = self.dim;
+        let s_res = unit_scale(&self.act);
         let ov = grab(out, rows * dim, 0.0);
         let (ctx, a32, wo_t) = (&*ws.ctx, &master[..], &self.wo_t_f32);
         let w_scales = &self.projs[3].w_scales;
-        for r in 0..rows {
-            let row_out = &mut ov[r * dim..(r + 1) * dim];
-            row_out.fill(0.0);
-            for d in 0..dim {
-                let c = ctx[r * dim + d];
-                let w_row = &wo_t[d * dim..(d + 1) * dim];
+        let out_ptr = ShareMut(ov.as_mut_ptr());
+        let row_tasks = if rows * dim * dim >= 1 << 18 {
+            ws.threads.min(ws.pool.width()).min(rows).max(1)
+        } else {
+            1
+        };
+        let rows_per = rows.div_ceil(row_tasks);
+        ws.pool.run(row_tasks, &|t| {
+            let dst = out_ptr;
+            let lo = t * rows_per;
+            let hi = ((t + 1) * rows_per).min(rows);
+            for r in lo..hi {
+                // SAFETY: tasks own disjoint output rows.
+                let row_out = unsafe { std::slice::from_raw_parts_mut(dst.0.add(r * dim), dim) };
+                row_out.fill(0.0);
+                for d in 0..dim {
+                    let c = ctx[r * dim + d];
+                    let w_row = &wo_t[d * dim..(d + 1) * dim];
+                    for (o, out_val) in row_out.iter_mut().enumerate() {
+                        *out_val += c * w_row[o];
+                    }
+                }
                 for (o, out_val) in row_out.iter_mut().enumerate() {
-                    *out_val += c * w_row[o];
+                    *out_val = a32[r * dim + o] as f32 * s_res + *out_val * w_scales[o];
                 }
             }
-            for (o, out_val) in row_out.iter_mut().enumerate() {
-                *out_val = a32[r * dim + o] as f32 * s_res + *out_val * w_scales[o];
-            }
-        }
+        });
         *ws.act_i32 = master;
-        Ok(())
     }
 }
 
@@ -1833,14 +1586,12 @@ pub enum PlanLayer {
     Packed(Box<PackedLinear>),
     /// Packed-domain convolution (integer im2row + GEMM).
     PackedConv(Box<PackedConv>),
-    /// Packed-domain attention block (integer Q/K/V, f32 softmax).
+    /// Packed-domain attention block (integer Q/K/V, f32 softmax). When
+    /// [`PackedAttn::causal`] it is decoder-style: it masks future
+    /// tokens, takes its sequence length from the input, and supports
+    /// incremental decode against a per-session packed `KvCache` (see
+    /// [`CompiledPlan::open_session`]).
     PackedAttn(Box<PackedAttn>),
-    /// Packed-domain **causal** attention block (decoder-style): masks
-    /// future tokens in the full-sequence forward, is
-    /// sequence-length-polymorphic, and supports incremental decode
-    /// against a per-session packed `KvCache`
-    /// (see [`CompiledPlan::open_session`]).
-    PackedCausalAttn(Box<PackedAttn>),
     /// ReLU (free in either domain).
     Relu,
     /// GELU (decode-boundary activation, f32 — paper Fig. 4).
@@ -1882,13 +1633,6 @@ impl CompiledPlan {
             layers.push(match layer {
                 NetLayer::Dense(d) => PlanLayer::Packed(Box::new(pack_dense(d)?)),
                 NetLayer::Conv(c) => PlanLayer::PackedConv(Box::new(pack_conv(c)?)),
-                NetLayer::Attn(a) if a.causal() => {
-                    // Causal blocks carry the default M-ANT KV group
-                    // codec; override per plan with
-                    // [`CompiledPlan::with_kv_quant`].
-                    let p = pack_attn(a)?.into_causal(KvQuantSpec::default())?;
-                    PlanLayer::PackedCausalAttn(Box::new(p))
-                }
                 NetLayer::Attn(a) => PlanLayer::PackedAttn(Box::new(pack_attn(a)?)),
                 NetLayer::Relu(_) => PlanLayer::Relu,
                 NetLayer::Gelu(_) => PlanLayer::Gelu,
@@ -1963,10 +1707,7 @@ impl CompiledPlan {
             .filter(|l| {
                 matches!(
                     l,
-                    PlanLayer::Packed(_)
-                        | PlanLayer::PackedConv(_)
-                        | PlanLayer::PackedAttn(_)
-                        | PlanLayer::PackedCausalAttn(_)
+                    PlanLayer::Packed(_) | PlanLayer::PackedConv(_) | PlanLayer::PackedAttn(_)
                 )
             })
             .count()
@@ -1982,7 +1723,7 @@ impl CompiledPlan {
             .filter(|l| match l {
                 PlanLayer::Packed(p) => p.weights_borrowed(),
                 PlanLayer::PackedConv(p) => p.weights_borrowed(),
-                PlanLayer::PackedAttn(p) | PlanLayer::PackedCausalAttn(p) => p.weights_borrowed(),
+                PlanLayer::PackedAttn(p) => p.weights_borrowed(),
                 _ => false,
             })
             .count()
@@ -2001,9 +1742,7 @@ impl CompiledPlan {
             match l {
                 PlanLayer::Packed(p) => add(p.weights()),
                 PlanLayer::PackedConv(p) => add(p.weights()),
-                PlanLayer::PackedAttn(p) | PlanLayer::PackedCausalAttn(p) => {
-                    p.projections().into_iter().for_each(&mut add)
-                }
+                PlanLayer::PackedAttn(p) => p.projections().into_iter().for_each(&mut add),
                 _ => {}
             }
         }
@@ -2057,25 +1796,35 @@ impl CompiledPlan {
         batch: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), RuntimeError> {
-        self.run_rows(x, batch, out, None)
-    }
-
-    /// The shared pipeline runner behind [`Self::forward_rows`] (no
-    /// session) and [`Self::prefill`] (a session whose caches absorb
-    /// every causal layer's K/V rows).
-    fn run_rows(
-        &mut self,
-        x: &[f32],
-        batch: usize,
-        out: &mut Vec<f32>,
-        mut session: Option<&mut DecodeSession>,
-    ) -> Result<(), RuntimeError> {
         if batch == 0 || !x.len().is_multiple_of(batch) {
             return Err(RuntimeError::ShapeMismatch {
                 expected: self.in_features.unwrap_or(0),
                 actual: x.len(),
             });
         }
+        self.run(
+            x,
+            Phase::Forward {
+                batch,
+                session: None,
+            },
+            out,
+        )
+    }
+
+    /// The pipeline driver behind [`Self::forward_rows`],
+    /// [`Self::prefill`] and [`Self::decode_steps`] (callers validate
+    /// their arguments): stages `x` in the arena, ping-pongs it through
+    /// every layer, records per-layer telemetry and copies the result
+    /// into `out`. Only attention blocks, convolution and pooling care
+    /// about the phase; token-local layers run batched over its rows.
+    fn run(
+        &mut self,
+        x: &[f32],
+        mut phase: Phase<'_, '_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), RuntimeError> {
+        let (rows, decode_ctx) = phase.rows_and_context();
         let threads = self.threads;
         let pool = &*self.pool;
         let Scratch {
@@ -2104,13 +1853,12 @@ impl CompiledPlan {
         let fwd = obs::metrics();
         let t0 = obs::now();
         let mut t_prev = t0;
-        for layer in self.layers.iter_mut() {
+        for layer in &self.layers {
             let (cur, next) = if cur_is_ping {
                 (&mut *ping, &mut *pong)
             } else {
                 (&mut *pong, &mut *ping)
             };
-            let was_ping = cur_is_ping;
             let in_len = cur.len();
             let mut ws = LayerScratch {
                 pool,
@@ -2130,77 +1878,83 @@ impl CompiledPlan {
                 kv_row,
                 kv_codes,
             };
-            match layer {
+            // Whether the layer wrote `next` (the pipeline flips) rather
+            // than rewriting `cur` in place.
+            let flips = match layer {
                 PlanLayer::Packed(p) => {
-                    p.forward_rows(cur, batch, &mut ws, next)?;
-                    cur_is_ping = !cur_is_ping;
-                }
-                PlanLayer::PackedConv(p) => {
-                    p.forward_rows(cur, batch, &mut ws, next)?;
-                    cur_is_ping = !cur_is_ping;
+                    p.forward_rows(cur, rows, &mut ws, next)?;
+                    true
                 }
                 PlanLayer::PackedAttn(p) => {
-                    p.forward_rows(cur, batch, &mut ws, next)?;
-                    cur_is_ping = !cur_is_ping;
-                }
-                PlanLayer::PackedCausalAttn(p) => {
-                    let sink = match session.as_deref_mut() {
-                        Some(s) => Some(s.caches.get_mut(causal_ix).ok_or_else(|| {
-                            RuntimeError::UnsupportedLayer {
-                                layer: p.name().to_string(),
-                                reason: "decode session does not match this plan's causal layers"
-                                    .to_string(),
-                            }
-                        })?),
-                        None => None,
-                    };
-                    p.forward_rows_causal(cur, batch, &mut ws, next, sink)?;
-                    causal_ix += 1;
-                    cur_is_ping = !cur_is_ping;
+                    match &mut phase {
+                        Phase::Forward { session, .. } => {
+                            let sink = match session.as_deref_mut() {
+                                Some(s) if p.causal() => {
+                                    Some(session_cache(s, causal_ix, p.name())?)
+                                }
+                                _ => None,
+                            };
+                            p.forward_rows(cur, rows, &mut ws, next, sink)?;
+                        }
+                        Phase::Decode(sessions) => {
+                            p.decode_rows(cur, sessions, causal_ix, &mut ws, next)?
+                        }
+                    }
+                    causal_ix += usize::from(p.causal());
+                    true
                 }
                 PlanLayer::Relu => {
                     for v in cur.iter_mut() {
                         *v = v.max(0.0);
                     }
+                    false
                 }
                 PlanLayer::Gelu => {
                     for v in cur.iter_mut() {
                         *v = gelu(*v);
                     }
-                }
-                PlanLayer::Pool { in_shape } => {
-                    maxpool2_rows(cur, batch, *in_shape, next)?;
-                    cur_is_ping = !cur_is_ping;
+                    false
                 }
                 PlanLayer::Norm(n) => {
-                    n.forward_rows(cur, batch, next)?;
-                    cur_is_ping = !cur_is_ping;
+                    n.forward_rows(cur, rows, next)?;
+                    true
                 }
-            }
-            let t_now = obs::now();
-            let out_len = if cur_is_ping != was_ping {
-                next.len()
-            } else {
-                in_len
+                // Unreachable when the session came from `open_session`
+                // (it validates the whole plan); kept as a structured
+                // error for hand-built sessions.
+                PlanLayer::PackedConv(_) | PlanLayer::Pool { .. } if decode_ctx.is_some() => {
+                    return Err(not_token_local_err());
+                }
+                PlanLayer::PackedConv(p) => {
+                    p.forward_rows(cur, rows, &mut ws, next)?;
+                    true
+                }
+                PlanLayer::Pool { in_shape } => {
+                    maxpool2_rows(cur, rows, *in_shape, next)?;
+                    true
+                }
             };
-            let (kind, macs, bytes) = layer_obs_info(layer, batch, in_len, out_len);
-            fwd.record_layer(kind, t_prev, t_now - t_prev, batch as u64, macs, bytes);
+            let t_now = obs::now();
+            let out_len = if flips { next.len() } else { in_len };
+            cur_is_ping ^= flips;
+            let (kind, macs, bytes) = layer_obs_info(layer, rows, in_len, out_len, decode_ctx);
+            fwd.record_layer(kind, t_prev, t_now - t_prev, rows as u64, macs, bytes);
             t_prev = t_now;
         }
-        fwd.record_forward(t0, t_prev.saturating_sub(t0), batch as u64);
+        fwd.record_forward(t0, t_prev.saturating_sub(t0), rows as u64);
         let cur = if cur_is_ping { &*ping } else { &*pong };
         out.clear();
         out.extend_from_slice(cur);
         Ok(())
     }
 
-    /// Whether this plan contains a causal attention layer — and so
-    /// supports [`Self::open_session`] / [`Self::prefill`] /
-    /// [`Self::decode_steps`].
+    /// Whether this plan contains a causal attention layer
+    /// ([`PackedAttn::causal`]) — and so supports [`Self::open_session`]
+    /// / [`Self::prefill`] / [`Self::decode_steps`].
     pub fn is_causal(&self) -> bool {
         self.layers
             .iter()
-            .any(|l| matches!(l, PlanLayer::PackedCausalAttn(_)))
+            .any(|l| matches!(l, PlanLayer::PackedAttn(p) if p.causal()))
     }
 
     /// The per-token feature width of the decode pipeline (the first
@@ -2211,7 +1965,7 @@ impl CompiledPlan {
         }
         self.layers.iter().find_map(|l| match l {
             PlanLayer::Packed(p) => Some(p.in_features()),
-            PlanLayer::PackedCausalAttn(p) => Some(p.dim()),
+            PlanLayer::PackedAttn(p) if p.causal() => Some(p.dim()),
             _ => None,
         })
     }
@@ -2232,9 +1986,11 @@ impl CompiledPlan {
         let kvq = KvQuant::new(spec)?;
         let mut hit = false;
         for l in &mut self.layers {
-            if let PlanLayer::PackedCausalAttn(p) = l {
-                p.kv = Some(kvq.clone());
-                hit = true;
+            if let PlanLayer::PackedAttn(p) = l {
+                if let Some(kv) = &mut p.kv {
+                    *kv = kvq.clone();
+                    hit = true;
+                }
             }
         }
         if !hit {
@@ -2244,9 +2000,10 @@ impl CompiledPlan {
     }
 
     /// Opens a decode session: one fixed-capacity packed KV cache per
-    /// causal layer, every byte allocated *here* so the per-step hot
-    /// path never touches the allocator. Also validates that every plan
-    /// step can execute in the decode phase (token-local or causal).
+    /// causal attention layer ([`PackedAttn::causal`]), every byte
+    /// allocated *here* so the per-step hot path never touches the
+    /// allocator. Also validates that every plan step can execute in the
+    /// decode phase (token-local or causal attention).
     ///
     /// # Errors
     ///
@@ -2270,16 +2027,16 @@ impl CompiledPlan {
         let mut layers = Vec::new();
         for l in &self.layers {
             match l {
-                PlanLayer::PackedCausalAttn(p) => {
-                    layers.push((p.dim(), p.kv_codec()?.clone()));
-                }
+                PlanLayer::PackedAttn(p) => match &p.kv {
+                    Some(kv) => layers.push((p.dim(), kv.clone())),
+                    None => {
+                        return Err(decode_err(format!(
+                            "layer {} is encoder-style attention; decode needs causal blocks",
+                            p.name()
+                        )));
+                    }
+                },
                 PlanLayer::Packed(_) | PlanLayer::Relu | PlanLayer::Gelu | PlanLayer::Norm(_) => {}
-                PlanLayer::PackedAttn(p) => {
-                    return Err(decode_err(format!(
-                        "layer {} is encoder-style attention; decode needs causal blocks",
-                        p.name()
-                    )));
-                }
                 PlanLayer::PackedConv(p) => {
                     return Err(decode_err(format!(
                         "layer {} (convolution) is not token-local",
@@ -2334,7 +2091,14 @@ impl CompiledPlan {
                 capacity: session.max_tokens(),
             });
         }
-        self.run_rows(x, 1, out, Some(session))
+        self.run(
+            x,
+            Phase::Forward {
+                batch: 1,
+                session: Some(session),
+            },
+            out,
+        )
     }
 
     /// One batched decode step: each of the `n` sessions contributes the
@@ -2372,107 +2136,52 @@ impl CompiledPlan {
                 });
             }
         }
-        let threads = self.threads;
-        let pool = &*self.pool;
-        let Scratch {
-            act_i8,
-            act_i16,
-            act_i32,
-            rows_i8,
-            rows_i16,
-            rows_i32,
-            acc,
-            q,
-            k,
-            v,
-            scores,
-            ctx,
-            kv_row,
-            kv_codes,
-            ping,
-            pong,
-        } = &mut self.scratch;
-        grab(ping, x.len(), 0.0).copy_from_slice(x);
-        let mut cur_is_ping = true;
-        let mut causal_ix = 0usize;
-        let fwd = obs::metrics();
-        let t0 = obs::now();
-        let mut t_prev = t0;
-        for layer in self.layers.iter_mut() {
-            let (cur, next) = if cur_is_ping {
-                (&mut *ping, &mut *pong)
-            } else {
-                (&mut *pong, &mut *ping)
-            };
-            let was_ping = cur_is_ping;
-            let in_len = cur.len();
-            let mut ws = LayerScratch {
-                pool,
-                threads,
-                act_i8,
-                act_i16,
-                act_i32,
-                rows_i8,
-                rows_i16,
-                rows_i32,
-                acc,
-                q,
-                k,
-                v,
-                scores,
-                ctx,
-                kv_row,
-                kv_codes,
-            };
-            match layer {
-                PlanLayer::Packed(p) => {
-                    p.forward_rows(cur, n, &mut ws, next)?;
-                    cur_is_ping = !cur_is_ping;
-                }
-                PlanLayer::PackedCausalAttn(p) => {
-                    p.decode_rows(cur, sessions, causal_ix, &mut ws, next)?;
-                    causal_ix += 1;
-                    cur_is_ping = !cur_is_ping;
-                }
-                PlanLayer::Relu => {
-                    for v in cur.iter_mut() {
-                        *v = v.max(0.0);
-                    }
-                }
-                PlanLayer::Gelu => {
-                    for v in cur.iter_mut() {
-                        *v = gelu(*v);
-                    }
-                }
-                PlanLayer::Norm(nl) => {
-                    nl.forward_rows(cur, n, next)?;
-                    cur_is_ping = !cur_is_ping;
-                }
-                // Unreachable when the session came from `open_session`
-                // (it validates the whole plan); kept as a structured
-                // error for hand-built sessions.
-                PlanLayer::PackedAttn(_) | PlanLayer::PackedConv(_) | PlanLayer::Pool { .. } => {
-                    return Err(decode_err(
-                        "a non-token-local layer cannot execute in the decode phase".to_string(),
-                    ));
-                }
-            }
-            let t_now = obs::now();
-            let out_len = if cur_is_ping != was_ping {
-                next.len()
-            } else {
-                in_len
-            };
-            let (kind, macs, bytes) = layer_obs_info(layer, n, in_len, out_len);
-            fwd.record_layer(kind, t_prev, t_now - t_prev, n as u64, macs, bytes);
-            t_prev = t_now;
-        }
-        fwd.record_forward(t0, t_prev.saturating_sub(t0), n as u64);
-        let cur = if cur_is_ping { &*ping } else { &*pong };
-        out.clear();
-        out.extend_from_slice(cur);
-        Ok(())
+        self.run(x, Phase::Decode(sessions), out)
     }
+}
+
+/// What one pass of [`CompiledPlan::run`] executes.
+enum Phase<'a, 'b> {
+    /// The full forward over `batch` samples. With a session (prefill,
+    /// `batch` 1), every causal layer's K/V rows also land in that
+    /// session's caches.
+    Forward {
+        batch: usize,
+        session: Option<&'a mut DecodeSession>,
+    },
+    /// One decode step: one new token row per session, causal layers
+    /// appending to and streaming from each session's caches.
+    Decode(&'a mut [&'b mut DecodeSession]),
+}
+
+impl Phase<'_, '_> {
+    /// The rows this pass pushes through the pipeline and, for a decode
+    /// step, the total context its attention rows read: each session's
+    /// cached tokens plus the one the step appends.
+    fn rows_and_context(&self) -> (usize, Option<u64>) {
+        match self {
+            Phase::Forward { batch, .. } => (*batch, None),
+            Phase::Decode(sessions) => (
+                sessions.len(),
+                Some(sessions.iter().map(|s| s.tokens() as u64 + 1).sum()),
+            ),
+        }
+    }
+}
+
+/// `sess`'s KV cache for the plan's `ix`-th causal layer (`layer` names
+/// it in the error).
+fn session_cache<'s>(
+    sess: &'s mut DecodeSession,
+    ix: usize,
+    layer: &str,
+) -> Result<&'s mut KvCache, RuntimeError> {
+    sess.caches
+        .get_mut(ix)
+        .ok_or_else(|| RuntimeError::UnsupportedLayer {
+            layer: layer.to_string(),
+            reason: "decode session does not match this plan's causal layers".to_string(),
+        })
 }
 
 /// A plan's session-opening recipe, detached from the plan itself: the
@@ -2521,12 +2230,21 @@ fn no_causal_err() -> RuntimeError {
     decode_err("plan has no causal attention layer".to_string())
 }
 
+/// The error a decode step returns on a layer that mixes positions
+/// other than through a KV cache (convolution, pooling, encoder
+/// attention).
+fn not_token_local_err() -> RuntimeError {
+    decode_err("a non-token-local layer cannot execute in the decode phase".to_string())
+}
+
 /// Work accounting for one executed plan layer: `(kind, MACs, bytes
 /// touched)` for `batch` rows with `in_len`/`out_len` f32 activations.
-/// MACs count GEMM multiply-accumulates (zero for non-GEMM layers);
-/// bytes count the f32 activations read and written plus one streamed
-/// pass over the integer weight image (and the im2row lowering for
-/// convolutions) — the quantities `antc stats` turns into GOPS and
+/// `decode_ctx` is `Some(Σt)` for a decode step — the sum over sessions
+/// of the tokens each new row attends to — and `None` for a full
+/// forward. MACs count GEMM multiply-accumulates (zero for non-GEMM
+/// layers); bytes count the f32 activations read and written plus one
+/// streamed pass over the integer weight image (and the im2row lowering
+/// for convolutions) — the quantities `antc stats` turns into GOPS and
 /// effective-bandwidth figures. All of it is a handful of integer
 /// multiplies against already-resident struct fields; with telemetry
 /// compiled out the no-op consumer lets the whole call fold away.
@@ -2535,6 +2253,7 @@ fn layer_obs_info(
     batch: usize,
     in_len: usize,
     out_len: usize,
+    decode_ctx: Option<u64>,
 ) -> (LayerKind, u64, u64) {
     let b = batch as u64;
     let act_bytes = ((in_len + out_len) * std::mem::size_of::<f32>()) as u64;
@@ -2560,25 +2279,21 @@ fn layer_obs_info(
             )
         }
         PlanLayer::PackedAttn(p) => {
-            let (s, d) = (p.seq as u64, p.dim as u64);
-            // Four [d, d] projections over s tokens, plus the s×s score
-            // and context GEMMs.
-            let macs = b * (4 * s * d * d + 2 * s * s * d);
-            let w: u64 = p
-                .projs
-                .iter()
-                .map(|m| (m.out * m.inp * m.image.elem_bytes()) as u64)
-                .sum::<u64>()
-                + (p.wo_t_f32.len() * std::mem::size_of::<f32>()) as u64;
-            (LayerKind::PackedAttn, macs, act_bytes + w)
-        }
-        PlanLayer::PackedCausalAttn(p) => {
-            // Sequence length is input-derived here (seq-polymorphic):
-            // `in_len / (batch·dim)` is the prompt length during
-            // prefill/full forward and exactly 1 during a decode step.
+            // Four [d, d] projections per token row, plus the score and
+            // context products against every key a row sees.
             let d = p.dim as u64;
-            let s = ((in_len as u64) / b.max(1) / d.max(1)).max(1);
-            let macs = b * (4 * s * d * d + 2 * s * s * d);
+            let macs = match decode_ctx {
+                // One new row per session, against that session's t
+                // cached tokens: Σ (4d² + 2·t·d).
+                Some(ctx) => b * 4 * d * d + 2 * ctx * d,
+                // s tokens per sample (`in_len / (batch·dim)`: the fixed
+                // sequence, or a causal block's prompt length), s×s
+                // scores and context.
+                None => {
+                    let s = ((in_len as u64) / b.max(1) / d.max(1)).max(1);
+                    b * (4 * s * d * d + 2 * s * s * d)
+                }
+            };
             let w: u64 = p
                 .projs
                 .iter()
@@ -2599,7 +2314,8 @@ fn plan_layer_in_features(layer: &PlanLayer) -> Option<usize> {
     match layer {
         PlanLayer::Packed(p) => Some(p.in_features()),
         PlanLayer::PackedConv(p) => Some(p.in_features()),
-        PlanLayer::PackedAttn(p) => Some(p.in_features()),
+        // A causal block takes its sequence length from the input.
+        PlanLayer::PackedAttn(p) if !p.causal() => Some(p.in_features()),
         PlanLayer::Pool {
             in_shape: (c, h, w),
         } => Some(c * h * w),
@@ -2615,7 +2331,13 @@ fn pack_dense(d: &Dense) -> Result<PackedLinear, RuntimeError> {
     let (wq, aq) = require_quantizers(&name, &d.quant.weight, &d.quant.activation)?;
     let (out, inp) = (d.out_features(), d.in_features());
     let weights = pack_weight_tensor(d.weight().as_slice(), out, inp, wq, &[out, inp])?;
-    PackedLinear::from_parts(name, weights, d.bias().as_slice().to_vec(), aq.clone())
+    PackedLinear::from_parts(
+        name,
+        weights,
+        d.bias().as_slice().to_vec(),
+        aq.clone(),
+        None,
+    )
 }
 
 /// Packs one quantized convolution: kernel codes shaped `[co, ci, kh, kw]`
@@ -2634,11 +2356,14 @@ fn pack_conv(c: &Conv2d) -> Result<PackedConv, RuntimeError> {
         aq.clone(),
         c.in_shape(),
         c.geometry(),
+        None,
     )
 }
 
 /// Packs one quantized attention block: all four projection weights onto
-/// wire codes plus the shared input-activation quantizer.
+/// wire codes plus the shared input-activation quantizer. A causal block
+/// carries the default M-ANT KV group codec; override it per plan with
+/// [`CompiledPlan::with_kv_quant`].
 fn pack_attn(a: &Attention) -> Result<PackedAttn, RuntimeError> {
     let name = a.name().to_string();
     let not_quantized = || RuntimeError::NotQuantized {
@@ -2652,7 +2377,8 @@ fn pack_attn(a: &Attention) -> Result<PackedAttn, RuntimeError> {
         projections.push(pack_weight_tensor(w.as_slice(), dim, dim, wq, &[dim, dim])?);
     }
     let projections: [PackedTensor; 4] = projections.try_into().expect("exactly four projections");
-    PackedAttn::from_parts(name, a.seq(), dim, projections, aq.clone())
+    let kv = a.causal().then(KvQuantSpec::default);
+    PackedAttn::from_parts(name, a.seq(), dim, projections, aq.clone(), None, kv)
 }
 
 /// Unwraps a layer's weight/activation quantizer pair or reports it as
@@ -2674,7 +2400,7 @@ fn require_quantizers<'a>(
 mod tests {
     use super::*;
     use ant_core::{ClipSearch, Granularity};
-    use ant_nn::model::{mlp, small_cnn, tiny_transformer, transformer_block};
+    use ant_nn::model::{decoder_block, mlp, small_cnn, tiny_transformer, transformer_block};
     use ant_nn::qat::{quantize_model, QuantSpec};
     use ant_tensor::dist::{sample_tensor, Distribution};
 
@@ -2767,6 +2493,48 @@ mod tests {
             let x = gaussian(&[3, feat], 17);
             assert_close(&mut plan, &mut model, &x);
         }
+    }
+
+    #[test]
+    fn decode_step_attention_macs_count_the_cached_context() {
+        let (seq, dim) = (8, 16);
+        let mut model = decoder_block(seq, dim, 1, 3);
+        quantize_model(
+            &mut model,
+            &gaussian(&[24, seq * dim], 5),
+            QuantSpec::default(),
+        )
+        .unwrap();
+        let mut plan = CompiledPlan::from_quantized(&model).unwrap();
+        // The driver's decode context: sessions holding 4 and 1 tokens
+        // each attend to one more (the row this step appends).
+        let (mut s4, mut s1) = (
+            plan.open_session(seq).unwrap(),
+            plan.open_session(seq).unwrap(),
+        );
+        let x = gaussian(&[1, 4 * dim], 7);
+        let mut out = Vec::new();
+        plan.prefill(&mut s4, x.as_slice(), &mut out).unwrap();
+        plan.prefill(&mut s1, &x.as_slice()[..dim], &mut out)
+            .unwrap();
+        let phase = Phase::Decode(&mut [&mut s4, &mut s1]);
+        assert_eq!(phase.rows_and_context(), (2, Some(5 + 2)));
+        let attn = plan
+            .layers()
+            .iter()
+            .find(|l| matches!(l, PlanLayer::PackedAttn(p) if p.causal()))
+            .unwrap();
+        // One row at context 512: 4d² projection MACs plus 2·t·d score
+        // and context MACs, not the 4d² + 2d an input-derived s = 1 gives.
+        let d = dim as u64;
+        let (kind, macs, _) = layer_obs_info(attn, 1, dim, dim, Some(512));
+        assert_eq!(kind, LayerKind::PackedAttn);
+        assert_eq!(macs, 4 * d * d + 2 * 512 * d);
+        let (_, macs, _) = layer_obs_info(attn, 2, 2 * dim, 2 * dim, Some(7));
+        assert_eq!(macs, 2 * 4 * d * d + 2 * 7 * d);
+        // A full forward over a 5-token prompt still counts 5×5.
+        let (_, macs, _) = layer_obs_info(attn, 1, 5 * dim, 5 * dim, None);
+        assert_eq!(macs, 4 * 5 * d * d + 2 * 25 * d);
     }
 
     /// Re-fits one dense layer of `model` at `dt`: the weight (`weight:
